@@ -21,6 +21,7 @@ sweep.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -52,11 +53,14 @@ CACHE_SCHEMA_VERSION: int = 3
 QUARANTINE_DIR = "quarantine"
 
 
+@functools.lru_cache(maxsize=16)
 def machine_fingerprint(machine: Optional[MachineConfig] = None) -> str:
     """Stable hex digest of a machine configuration.
 
     ``None`` fingerprints the default machine — the configuration that a
     runner constructed without an explicit machine will actually simulate.
+    Memoized on the frozen (hashable) config: a sweep keys every cell
+    against the same machine, and the digest dominates a key's cost.
     """
     if machine is None:
         machine = default_machine()
@@ -175,7 +179,9 @@ class ResultCache:
                 dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(result_to_dict(result), fh, sort_keys=True)
+                # One json.dumps call: json.dump on a file handle runs the
+                # pure-Python encoder for the same bytes.
+                fh.write(json.dumps(result_to_dict(result), sort_keys=True))
             os.replace(tmp, path)
             tmp = None
         except OSError as exc:

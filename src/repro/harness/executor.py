@@ -440,7 +440,9 @@ class SweepExecutor:
         # and summary() coverage adds up.
         batch.deduped = len(specs) - len(unique)
         results: dict[CellSpec, RunResult] = {}
-        to_run: list[CellSpec] = []
+        # Each cell's content address is derived once, here, and reused for
+        # the cache write, the journal and the completion hook.
+        to_run: list[tuple[CellSpec, str]] = []
         for spec in unique:
             key = spec.key(self.machine)
             cached = cache.get(key) if cache is not None else None
@@ -454,7 +456,7 @@ class SweepExecutor:
                 if self.on_cell_complete is not None:
                     self.on_cell_complete(spec, key, cached, 0.0, True)
             else:
-                to_run.append(spec)
+                to_run.append((spec, key))
 
         if self.verbose and batch.resumed:
             print(
@@ -463,14 +465,14 @@ class SweepExecutor:
                 flush=True,
             )
 
-        for spec, (result, seconds) in zip(to_run, self._simulate(to_run, batch)):
+        outcomes = self._simulate([spec for spec, _ in to_run], batch)
+        for (spec, key), (result, seconds) in zip(to_run, outcomes):
             results[spec] = result
             batch.simulated += 1
             batch.sim_seconds += seconds
             batch.timings.append((spec.label(), seconds))
             if self.verbose:
                 print(f"  simulated  {spec.label()} in {seconds:.2f}s", flush=True)
-            key = spec.key(self.machine)
             if cache is not None:
                 cache.put(key, result)
             if self.journal is not None:

@@ -178,10 +178,12 @@ class GridRunner:
             ),
             batch_cells=batch_cells,
         )
-        #: In-memory memo: full cell key (workload, policy, fast, seed,
-        #: scale, machine fingerprint, schema version) -> result.  A
-        #: read-through layer over the executor's disk cache.
-        self._cache: dict[str, RunResult] = {}
+        #: In-memory memo: cell spec -> result.  A read-through layer over
+        #: the executor's disk cache.  Keyed by the spec itself, not its
+        #: content address: scale is fixed per runner and the executor
+        #: holds the machine, so within one runner the spec alone
+        #: identifies a cell and a memo lookup derives no cell key.
+        self._cache: dict[CellSpec, RunResult] = {}
 
     @property
     def seed(self) -> int:
@@ -218,19 +220,18 @@ class GridRunner:
         if seed is None:
             seed = self.seeds[0]
         spec = self._spec(workload, policy, fast, seed)
-        key = spec.key(self.machine)
-        if key not in self._cache:
+        result = self._cache.get(spec)
+        if result is None:
             results, _ = self.executor.run_cells([spec])
-            self._cache[key] = results[spec]
-        return self._cache[key]
+            result = self._cache[spec] = results[spec]
+        return result
 
     def _prefetch(self, specs: Sequence[CellSpec]) -> SweepStats:
         """Resolve every spec into the memo, fanning misses out in one batch."""
         unique = list(dict.fromkeys(specs))
-        missing = [s for s in unique if s.key(self.machine) not in self._cache]
+        missing = [s for s in unique if s not in self._cache]
         results, batch = self.executor.run_cells(missing)
-        for spec, result in results.items():
-            self._cache[spec.key(self.machine)] = result
+        self._cache.update(results)
         stats = SweepStats(
             cells=len(unique),
             memo_hits=len(unique) - len(missing),

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 from ..core.policies import EXTRA_POLICIES, POLICIES
@@ -110,7 +111,7 @@ def spec_from_dict(data: dict[str, Any]) -> CellSpec:
             faults=str(data.get("faults", "off")),
             scenario=str(data.get("scenario", "off")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed cell {data!r}: {exc}") from exc
     _validate_spec(spec)
     return spec
@@ -138,8 +139,13 @@ def _validate_spec(spec: CellSpec) -> None:
         raise ProtocolError(f"unknown policy {spec.policy!r}")
     if spec.fast < 1:
         raise ProtocolError(f"budget must be >= 1, got {spec.fast}")
-    if spec.scale <= 0:
-        raise ProtocolError(f"scale must be positive, got {spec.scale}")
+    # json.loads accepts NaN and Infinity literals; neither is a scale.
+    if not (math.isfinite(spec.scale) and spec.scale > 0):
+        raise ProtocolError(
+            f"scale must be positive and finite, got {spec.scale}"
+        )
+    if spec.seed < 0:
+        raise ProtocolError(f"seed must be >= 0, got {spec.seed}")
 
 
 def _str_list(body: dict[str, Any], field: str) -> list[str]:
@@ -155,7 +161,7 @@ def _int_list(body: dict[str, Any], field: str, default: list[int]) -> list[int]
         raise ProtocolError(f"{field!r} must be a non-empty list")
     try:
         return [int(v) for v in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"{field!r} must contain integers") from exc
 
 
@@ -183,7 +189,7 @@ def expand_submit(body: Any) -> tuple[str, list[CellSpec]]:
         seeds = _int_list(body, "seeds", [1])
         try:
             scale = float(body.get("scale", 1.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError("'scale' must be a number") from exc
         faults = str(body.get("faults", "off"))
         trace = bool(body.get("trace", False))

@@ -414,7 +414,7 @@ class SweepService:
         except OSError:
             return 0
         for job_id, client, specs, idem in entries:
-            self._register(job_id, client, specs)
+            self._register(job_id, client, specs, self._keyed(specs))
             seq = _job_seq_of(job_id)
             with self._cond:
                 if seq is not None:
@@ -438,9 +438,8 @@ class SweepService:
             if isinstance(body, dict) and body.get("idempotency_key")
             else None
         )
-        unique = list(dict.fromkeys(specs))
         # Content-address outside the lock (hashing is CPU, not state).
-        keys = [spec.key(self.machine) for spec in unique]
+        keyed = self._keyed(specs)
         with self._cond:
             if self._draining:
                 raise DrainingError()
@@ -455,7 +454,7 @@ class SweepService:
             # registration, without ever being enqueued).
             new_cells = sum(
                 1
-                for key in keys
+                for key in keyed.values()
                 if (task := self._tasks.get(key)) is None
                 or task.state == _FAILED
             )
@@ -473,27 +472,34 @@ class SweepService:
         self._log_job(
             job_id, client, specs, criticality=criticality, idempotency=idem
         )
-        job = self._register(job_id, client, specs)
+        job = self._register(job_id, client, specs, keyed)
         if idem is not None:
             with self._cond:
                 self._idempotency[idem] = job_id
         return self._receipt(job)
 
+    def _keyed(self, specs: list[CellSpec]) -> dict[CellSpec, str]:
+        """Unique specs, submission order, each with its cell key."""
+        return {spec: spec.key(self.machine) for spec in dict.fromkeys(specs)}
+
     def _register(
-        self, job_id: str, client: str, specs: list[CellSpec]
+        self,
+        job_id: str,
+        client: str,
+        specs: list[CellSpec],
+        keyed: dict[CellSpec, str],
     ) -> _Job:
+        """Register a job whose unique cells ``keyed`` (from
+        :meth:`_keyed`) the caller addressed outside ``_cond``."""
         with self._cond:
-            unique = list(dict.fromkeys(specs))
             job = _Job(
                 job_id=job_id,
                 client=client,
-                keys=[],
+                keys=list(keyed.values()),
                 requested=len(specs),
-                deduped=len(specs) - len(unique),
+                deduped=len(specs) - len(keyed),
             )
-            for spec in unique:
-                key = spec.key(self.machine)
-                job.keys.append(key)
+            for spec, key in keyed.items():
                 task = self._tasks.get(key)
                 if task is not None and task.state in (_PENDING, _RUNNING):
                     # In-flight dedup: another client already queued this

@@ -92,6 +92,14 @@ _TRACE_RECORD_TYPES: dict[str, type] = {
     "freq_changes": FreqChangeRecord,
 }
 
+#: Field names of each record type, in declaration order.  Records hold
+#: only scalars, so reading these attributes gives exactly what
+#: ``dataclasses.asdict`` would, without its recursive deep copy.
+_TRACE_RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    name: tuple(f.name for f in dataclasses.fields(rec_type))
+    for name, rec_type in _TRACE_RECORD_TYPES.items()
+}
+
 #: Record fields added *after* the original schema, dropped from the
 #: serialized form while None so pre-existing traces — and the golden
 #: SHA-256 fingerprints — stay byte-identical.  Only lists new fields:
@@ -121,9 +129,12 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
         "total_lock_wait_ns": trace.total_lock_wait_ns,
         "max_lock_wait_ns": trace.max_lock_wait_ns,
     }
-    for name in _TRACE_RECORD_TYPES:
+    for name, fields in _TRACE_RECORD_FIELDS.items():
         omit = _OMIT_WHEN_NONE.get(name)
-        records = [dataclasses.asdict(rec) for rec in getattr(trace, name)]
+        records = [
+            {field: getattr(rec, field) for field in fields}
+            for rec in getattr(trace, name)
+        ]
         if omit:
             for rec_d in records:
                 for key in omit:
@@ -175,9 +186,14 @@ def result_from_dict(data: dict[str, Any]) -> "Any":
 
 
 def dump_result(result: "Any", path: str) -> None:
-    """Write a :class:`RunResult` to a JSON file."""
+    """Write a :class:`RunResult` to a JSON file.
+
+    Encoded with ``json.dumps`` and written in one call: ``json.dump`` on a
+    file handle runs CPython's pure-Python encoder, ~3x slower for the
+    same bytes.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result), fh, sort_keys=True)
+        fh.write(json.dumps(result_to_dict(result), sort_keys=True))
 
 
 def load_result(path: str) -> "Any":

@@ -141,6 +141,18 @@ class TestCacheKey:
     def test_default_machine_fingerprint_is_explicit_default(self):
         assert machine_fingerprint(None) == machine_fingerprint(default_machine())
 
+    def test_machine_fingerprint_matches_hand_derivation(self):
+        # The memoized digest must stay the one every existing cache entry
+        # was addressed with: SHA-256 of the sorted-key JSON of asdict.
+        import hashlib
+
+        modified = dataclasses.replace(default_machine(), mem_contention_alpha=0.9)
+        for machine in (default_machine(), modified):
+            blob = json.dumps(dataclasses.asdict(machine), sort_keys=True)
+            expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            assert machine_fingerprint(machine) == expected
+            assert machine_fingerprint(machine) == expected  # memo hit
+
     def test_key_embeds_schema_version(self):
         # Re-derive the digest by hand so a schema bump can't silently alias.
         import hashlib
@@ -278,3 +290,38 @@ class TestExecutorDirect:
         rebuilt = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert result_to_dict(rebuilt) == result_to_dict(result)
         assert rebuilt.edp == pytest.approx(result.edp)
+
+
+class TestWarmKeying:
+    """A warm sweep addresses each cell once and fingerprints its machine
+    at most once: the per-cell bookkeeping must not re-hash."""
+
+    GRID = dict(policies=["cata", "turbomode"], workloads=["swaptions"],
+                fast_counts=[4, 8])
+
+    def test_warm_run_grid_keys_each_cell_once(self, tmp_path, monkeypatch):
+        from repro.harness import cache as cache_mod
+        from repro.harness import executor as executor_mod
+
+        kw = dict(scale=0.05, seeds=(1, 2), cache_dir=str(tmp_path),
+                  machine=default_machine().with_cores(16))
+        GridRunner(**kw).run_grid(**self.GRID)
+        calls = {"cell_key": 0, "machine_to_dict": 0}
+        for module, name in ((executor_mod, "cell_key"),
+                             (cache_mod, "machine_to_dict")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        runner = GridRunner(**kw)
+        grid = runner.run_grid(**self.GRID)
+        unique = 3 * 2 * 2  # policies (fifo added) x budgets x seeds
+        assert grid.stats.cells == unique
+        assert grid.stats.simulated == 0
+        assert calls["cell_key"] <= unique
+        assert calls["machine_to_dict"] <= 1
+        # A second pass resolves from the memo alone: no key at all.
+        calls["cell_key"] = 0
+        runner.run_grid(**self.GRID)
+        assert calls["cell_key"] == 0

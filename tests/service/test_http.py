@@ -164,6 +164,24 @@ class TestErrorMapping:
         # The daemon shrugged it off and still serves.
         assert ServiceClient(live.url).health()["ok"] is True
 
+    def test_infinite_scale_is_400(self, live):
+        conn = http.client.HTTPConnection(
+            live.server.host, live.server.port, timeout=10
+        )
+        conn.request(
+            "POST", "/v1/jobs",
+            body=(
+                b'{"workloads": ["swaptions"], "policies": ["fifo"], '
+                b'"budgets": [8], "seeds": [1], "scale": Infinity}'
+            ),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "scale" in json.loads(resp.read())["error"]
+        conn.close()
+        assert ServiceClient(live.url).health()["ok"] is True
+
     def test_unknown_route_is_404(self, live):
         conn = http.client.HTTPConnection(
             live.server.host, live.server.port, timeout=10

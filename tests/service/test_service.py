@@ -11,7 +11,11 @@ import time
 import pytest
 
 from repro.harness.executor import SweepExecutor, simulate_cell
-from repro.service.protocol import ProtocolError, result_fingerprint
+from repro.service.protocol import (
+    ProtocolError,
+    expand_submit,
+    result_fingerprint,
+)
 from repro.service.server import SweepService
 
 SCALE = 0.05
@@ -105,6 +109,33 @@ class TestSubmitAndServe:
             service.submit({"client": "x"})
         with pytest.raises(ProtocolError):
             service.submit([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "scale, seeds, budgets",
+        [
+            ("NaN", "[1]", "[8]"),
+            ("Infinity", "[1]", "[8]"),
+            ("-Infinity", "[1]", "[8]"),
+            ("0.05", "[-1]", "[8]"),
+            ("0.05", "[1]", "[Infinity]"),
+        ],
+    )
+    def test_non_finite_and_negative_numbers_rejected(self, scale, seeds, budgets):
+        # The daemon parses bodies with json.loads, which accepts NaN and
+        # Infinity; such a cell must be refused at the door, not admitted
+        # and then failed (or retried) by the worker.
+        grid = json.loads(
+            '{"workloads": ["swaptions"], "policies": ["fifo"], '
+            f'"budgets": {budgets}, "seeds": {seeds}, "scale": {scale}}}'
+        )
+        with pytest.raises(ProtocolError):
+            expand_submit(grid)
+        cell = json.loads(
+            '{"workload": "swaptions", "policy": "fifo", '
+            f'"fast": {budgets[1:-1]}, "seed": {seeds[1:-1]}, "scale": {scale}}}'
+        )
+        with pytest.raises(ProtocolError):
+            expand_submit({"cells": [cell]})
 
     def test_unknown_job_raises_keyerror(self, service):
         with pytest.raises(KeyError):
