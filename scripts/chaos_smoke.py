@@ -9,7 +9,11 @@ against and fails loudly if any recovery path silently degrades:
 2. a cache entry is corrupted behind the executor's back — the entry
    must be quarantined and recomputed, not crash the sweep;
 3. the journaled, interrupted sweep must resume re-simulating only the
-   unfinished cells.
+   unfinished cells;
+4. a real ``repro sweep --jobs 2`` SIGKILLed once its journal holds a
+   line leaves no pool worker alive, and the rerun simulates only the
+   cells missing from the cache, counts every journaled cell as resumed
+   and prints the same table as a clean run.
 
 Run from the repo root:  PYTHONPATH=src python scripts/chaos_smoke.py
 """
@@ -17,13 +21,22 @@ Run from the repo root:  PYTHONPATH=src python scripts/chaos_smoke.py
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
+import time
 
 from repro.harness.cache import QUARANTINE_DIR, ResultCache
-from repro.harness.executor import CellSpec, RetryPolicy, SweepExecutor, simulate_cell
+from repro.harness.executor import (
+    CellSpec,
+    RetryPolicy,
+    SweepExecutor,
+    process_alive,
+    simulate_cell,
+)
 from repro.harness.journal import SweepJournal
 
 SCALE = 0.05
@@ -51,6 +64,42 @@ def kill_once_cell(spec: CellSpec, machine_dict=None):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
     return simulate_cell(spec, machine_dict)
+
+
+#: ~2 s of cells at ``--jobs 2``: the kill lands after the first
+#: checkpoint and before the last.
+KILL_SWEEP = ["sweep", "fluidanimate", "--scale", "1.0", "--budgets", "8", "16",
+              "--jobs", "2"]
+
+
+def children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid`` (Linux procfs)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def sweep(*extra: str) -> str:
+    """Run ``repro sweep`` to completion; returns its stdout."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *KILL_SWEEP, *extra],
+        check=True, capture_output=True, text=True,
+    ).stdout
+
+
+def stat(summary: str, name: str) -> int:
+    """One counter of a ``sweep stats`` line (absent counters are 0)."""
+    match = re.search(rf"\b{name}: (\d+)", summary)
+    return int(match.group(1)) if match else 0
 
 
 def check(condition: bool, message: str) -> None:
@@ -112,6 +161,51 @@ def main() -> int:
     _, batch3 = resumed.run_cells(specs)
     check(batch3.simulated == 0, "resume re-simulates nothing when complete")
     check(batch3.resumed >= len(specs) - 1, f"resume detected ({batch3.resumed})")
+
+    print("chaos smoke: SIGKILL a running sweep")
+    kill_dir = os.path.join(_WORK, "killed-sweep")
+    journal_path = os.path.join(kill_dir, "journal.jsonl")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *KILL_SWEEP, "--cache-dir", kill_dir],
+        stdout=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        if os.path.exists(journal_path) and os.path.getsize(journal_path) > 0:
+            break
+        time.sleep(0.01)
+    workers = children(proc.pid) if os.path.isdir("/proc") else []
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=30)
+    check(proc.returncode == -signal.SIGKILL, "sweep killed mid-grid")
+    journaled = SweepJournal(journal_path).completed
+    cached = len(ResultCache(kill_dir))
+    check(len(journaled) >= 1, f"journal checkpointed {len(journaled)} cells before the kill")
+    if os.path.isdir("/proc"):
+        check(len(workers) == 2, f"sweep ran pool workers {workers}")
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(process_alive, workers)):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if process_alive(pid)]
+        check(not survivors, f"no worker outlives the killed sweep (alive: {survivors})")
+    else:
+        print("  [skip] worker survival: needs procfs to find the sweep's workers")
+    resumed_out = sweep("--cache-dir", kill_dir)
+    summary = resumed_out.strip().splitlines()[-1]
+    cells = stat(summary, "cells")
+    check(
+        stat(summary, "simulated") == cells - cached,
+        f"rerun simulated only the {cells - cached} cells missing from the cache",
+    )
+    check(
+        stat(summary, "resumed") == len(journaled),
+        f"rerun counts all {len(journaled)} journaled cells as resumed",
+    )
+    clean_out = sweep()
+    check(
+        resumed_out.splitlines()[:-1] == clean_out.splitlines()[:-1],
+        "resumed sweep prints the clean run's table",
+    )
 
     print("chaos smoke: all recovery paths exercised")
     return 0

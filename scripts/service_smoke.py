@@ -10,8 +10,13 @@ HTTP through the guarantees the service makes:
    zero simulations;
 3. two clients submitting the same grid concurrently simulate each cell
    exactly once between them and fetch identical bytes;
-4. a daemon SIGKILLed mid-sweep restarts, resumes the interrupted job
-   from the journal and re-simulates only the unfinished cells.
+4. a daemon SIGKILLed mid-sweep leaves none of its worker processes
+   behind (the pids ``/v1/healthz`` reports are gone within 10 s), and a
+   restart resumes the interrupted job from the journal and
+   re-simulates only the unfinished cells;
+5. a cell that overruns ``--cell-timeout`` fails its job and its worker
+   is killed, while the daemon keeps serving: the kill must not reach
+   the daemon's own SIGTERM handler.
 
 Run from the repo root:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -28,8 +33,8 @@ import tempfile
 import threading
 import time
 
-from repro.harness.executor import CellSpec, SweepExecutor
-from repro.service.client import ServiceClient
+from repro.harness.executor import CellSpec, SweepExecutor, process_alive
+from repro.service.client import ServiceClient, ServiceUnavailableError
 from repro.service.protocol import result_fingerprint
 
 SCALE = 0.05
@@ -37,6 +42,8 @@ SCALE = 0.05
 SLOW_SCALE = 1.5
 SLOW_WORKLOAD = "fluidanimate"
 SLOW_SEEDS = [1, 2]
+#: Several seconds per cell, far past the timeout daemon's --cell-timeout.
+HUNG_SCALE = 3.0
 _WORK = tempfile.mkdtemp(prefix="service-smoke-")
 STATE = os.path.join(_WORK, "state")
 
@@ -48,14 +55,16 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(f"service smoke failed: {message}")
 
 
-def start_daemon() -> tuple[subprocess.Popen, ServiceClient]:
+def start_daemon(
+    *flags: str, state: str = STATE
+) -> tuple[subprocess.Popen, ServiceClient]:
     """Start ``repro serve`` on an ephemeral port; wait for its endpoint."""
-    endpoint_path = os.path.join(STATE, "endpoint.json")
+    endpoint_path = os.path.join(state, "endpoint.json")
     if os.path.exists(endpoint_path):
         os.unlink(endpoint_path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--state-dir", STATE],
+         "--state-dir", state, *flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
     )
@@ -87,9 +96,9 @@ def grid(policies: list[str], seed: int = 1) -> dict:
 
 
 def slow_grid(policies: list[str]) -> dict:
-    """A grid that spans multiple worker batches (the daemon checkpoints
-    cache + journal per batch of 4 at ``--jobs 1``), with cells slow
-    enough that the SIGKILL lands while the second batch is in flight."""
+    """A grid whose cells are slow enough that the SIGKILL lands mid-job,
+    after the first cells are checkpointed (the daemon writes cache and
+    journal for each cell as it completes)."""
     return {
         "workloads": [SLOW_WORKLOAD],
         "policies": policies,
@@ -97,6 +106,24 @@ def slow_grid(policies: list[str]) -> dict:
         "seeds": SLOW_SEEDS,
         "scale": SLOW_SCALE,
     }
+
+
+def survivors(pids: list[int], timeout_s: float = 10.0) -> list[int]:
+    """The processes of ``pids`` still running after up to ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and any(map(process_alive, pids)):
+        time.sleep(0.1)
+    return [pid for pid in pids if process_alive(pid)]
+
+
+def stop_daemon(proc: subprocess.Popen) -> None:
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=30)
 
 
 def main() -> int:
@@ -183,8 +210,13 @@ def main() -> int:
             time.sleep(0.2)
         check(progress["done"] >= 1, "at least one slow cell finished pre-kill")
         check(progress["state"] != "done", "job still in flight when killed")
+        workers = client.health()["worker"]["pids"]
+        check(bool(workers) and proc.pid not in workers,
+              f"cells run in worker processes {workers}, not the daemon")
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
+        left = survivors(workers)
+        check(not left, f"no worker outlives the SIGKILLed daemon (alive: {left})")
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -207,13 +239,39 @@ def main() -> int:
         results = client.fetch(slow["job"])
         check(len(results["results"]) == slow_cells, "all results fetchable")
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=30)
+        stop_daemon(proc)
+
+    print("service smoke: cell timeout kills the worker, not the daemon",
+          flush=True)
+    proc, client = start_daemon(
+        "--cell-timeout", "1.0", "--retries", "1",
+        state=os.path.join(_WORK, "timeout-state"),
+    )
+    try:
+        hung = client.submit_body({
+            "workloads": [SLOW_WORKLOAD], "policies": ["fifo"], "budgets": [8],
+            "seeds": [1], "scale": HUNG_SCALE, "client": "smoke-timeout",
+        })
+        workers: list[int] = []
+        deadline = time.monotonic() + 30.0
+        while not workers and time.monotonic() < deadline:
+            workers = client.health()["worker"]["pids"]
+            time.sleep(0.05)
+        final = client.wait(hung["job"], timeout_s=120)
+        check(final["state"] == "failed", "the overrunning cell failed its job")
+        try:
+            serving = not client.health()["draining"]
+        except ServiceUnavailableError:
+            serving = False
+        check(serving, "the daemon keeps serving after the kill")
+        left = survivors(workers)
+        check(bool(workers) and not left,
+              f"the timed-out worker {workers} was killed (alive: {left})")
+        after = client.submit_body(grid(["fifo"], seed=3) | {"client": "smoke-timeout"})
+        check(client.wait(after["job"], timeout_s=120)["state"] == "done",
+              "a later job runs on a fresh worker")
+    finally:
+        stop_daemon(proc)
 
     print("service smoke: all service guarantees exercised", flush=True)
     return 0

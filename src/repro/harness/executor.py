@@ -12,7 +12,11 @@ stores, checked in order:
 2. an optional persistent :class:`~repro.harness.cache.ResultCache` on
    disk, shared between runners and invocations,
 3. actual simulation, inline for ``jobs=1`` or via
-   :class:`concurrent.futures.ProcessPoolExecutor` for ``jobs>1``.
+   :class:`concurrent.futures.ProcessPoolExecutor` for ``jobs>1`` (one pool
+   per call).  An *isolated* executor (``isolate=True``, the sweep
+   service's) never simulates in the calling interpreter: one persistent
+   pool of ``jobs`` processes, forked at the first batch that simulates,
+   serves every later call until :meth:`SweepExecutor.close`.
 
 The simulation layer is hardened against the failure modes of long
 sweeps (:class:`RetryPolicy`):
@@ -29,11 +33,16 @@ sweeps (:class:`RetryPolicy`):
   retrying a misspelled policy name three times helps nobody;
 * after ``pool_failure_limit`` pool teardowns the executor stops trusting
   process isolation and degrades to inline (in-process) execution for the
-  remaining cells.
+  remaining cells (an isolated executor never degrades);
+* a **killed parent** takes its workers with it: every pool worker
+  watches its parent's sentinel and exits when the parent is gone;
+* a worker resets the signal handling it inherits (see
+  :func:`_init_worker`), and a torn-down pool's workers get SIGKILL.
 
-Completed cells are checkpointed through the cache and the optional
-:class:`~repro.harness.journal.SweepJournal`, so a sweep killed at cell
-N of M resumes by re-simulating only the unfinished cells.
+Each cell is checkpointed through the cache, the optional
+:class:`~repro.harness.journal.SweepJournal` and the completion hook the
+moment its result arrives, so a sweep killed (or failed) at cell N of M
+keeps every finished cell and resumes by re-simulating only the rest.
 
 Per-cell wall-clock timings and hit/miss/recovery counters accumulate in
 :class:`SweepStats`; the harness surfaces them in verbose output and in
@@ -43,7 +52,12 @@ Per-cell wall-clock timings and hit/miss/recovery counters accumulate in
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
 import random
+import signal
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -66,6 +80,7 @@ __all__ = [
     "RetryPolicy",
     "SweepStats",
     "SweepExecutor",
+    "process_alive",
     "simulate_cell",
     "simulate_cell_batch",
 ]
@@ -229,6 +244,62 @@ def simulate_cell_batch(
     return [cell_fn(spec, machine_dict) for spec in specs]
 
 
+def _init_worker(ignore_sigint: bool) -> None:
+    """Pool-worker initializer: own signal handling, and exit with the
+    parent.
+
+    A forked worker inherits its parent's Python signal handlers and,
+    before Python 3.12, the wakeup fd of the parent's asyncio loop.  In a
+    ``repro serve`` worker, SIGTERM would run the daemon's no-op handler
+    (so terminating the worker would not stop it) and, through that fd,
+    wake the daemon's own loop as if the daemon had been signalled, so
+    the daemon would drain.  The worker therefore drops the wakeup fd
+    and takes SIGTERM's default action back; with ``ignore_sigint`` (the
+    service's pool) it also ignores SIGINT, so a terminal's Ctrl-C drains
+    the daemon instead of killing the cells in flight.
+
+    A SIGKILLed sweep or daemon never shuts its pool down, and its idle
+    workers would block on the call queue forever, reparented to init.
+    The parent's sentinel turns readable (EOF) once the parent is gone.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if ignore_sigint:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def process_alive(pid: int) -> bool:
+    """True while process ``pid`` runs.
+
+    A process that exited but was not reaped yet (a zombie, such as a
+    killed worker whose parent has not waited for it) counts as gone.
+    Without procfs the kernel is asked directly, which counts a zombie
+    as alive.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        except PermissionError:
+            pass
+        return True
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Crash/timeout/retry behavior of one executor."""
@@ -290,7 +361,8 @@ class SweepStats:
     quarantined: int = 0
     #: Cache writes that failed (cache degraded to read-only).
     cache_write_failures: int = 0
-    #: (cell label, seconds) for every simulated cell, submission order.
+    #: (cell label, seconds) for every simulated cell, submission order
+    #: (cells are checkpointed in completion order).
     timings: list[tuple[str, float]] = field(default_factory=list)
 
     @property
@@ -369,7 +441,10 @@ class _Flight:
 
 
 class SweepExecutor:
-    """Fans independent cells across processes, read-through cached."""
+    """Fans independent cells across processes, read-through cached.
+
+    @guarded_by("_pool_lock"): _pool, _closed
+    """
 
     def __init__(
         self,
@@ -384,6 +459,7 @@ class SweepExecutor:
             Callable[[CellSpec, str, RunResult, float, bool], None]
         ] = None,
         batch_cells: int = 1,
+        isolate: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -412,6 +488,18 @@ class SweepExecutor:
         #: service uses this for journal-backed per-cell progress streaming;
         #: ``seconds`` is 0.0 for cache hits.
         self.on_cell_complete = on_cell_complete
+        #: Never simulate in the calling interpreter, even at ``jobs=1``
+        #: or for a one-cell batch: the sweep service sets this so that a
+        #: running cell cannot hold the daemon's GIL.  Cells run on one
+        #: persistent pool of ``jobs`` workers, and the executor never
+        #: degrades to inline execution.
+        self.isolate = isolate
+        self._pool_lock = threading.Lock()
+        #: The isolated executor's persistent pool: forked at the first
+        #: batch that simulates, dropped by a teardown or :meth:`close`.
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: Set by :meth:`close`; no pool is built afterwards.
+        self._closed = False
         self._rng = random.Random(self.retry.jitter_seed)
         #: Pool teardowns over this executor's lifetime; at
         #: ``retry.pool_failure_limit`` execution degrades to inline.
@@ -465,12 +553,18 @@ class SweepExecutor:
                 flush=True,
             )
 
-        outcomes = self._simulate([spec for spec, _ in to_run], batch)
-        for (spec, key), (result, seconds) in zip(to_run, outcomes):
+        seconds_of: dict[int, float] = {}
+
+        def checkpoint(index: int, outcome: tuple[RunResult, float]) -> None:
+            """Persist and count one cell the moment its result arrives, so
+            a batch that later fails or is killed keeps every finished
+            cell, in the store and in the stats."""
+            spec, key = to_run[index]
+            result, seconds = outcome
             results[spec] = result
+            seconds_of[index] = seconds
             batch.simulated += 1
             batch.sim_seconds += seconds
-            batch.timings.append((spec.label(), seconds))
             if self.verbose:
                 print(f"  simulated  {spec.label()} in {seconds:.2f}s", flush=True)
             if cache is not None:
@@ -480,36 +574,75 @@ class SweepExecutor:
             if self.on_cell_complete is not None:
                 self.on_cell_complete(spec, key, result, seconds, False)
 
-        if cache is not None:
-            batch.quarantined += cache.corrupt_evictions - evictions0
-            batch.cache_write_failures += cache.write_failures - writefails0
-        batch.wall_seconds = time.perf_counter() - t0
-        self.stats.merge(batch)
+        try:
+            self._simulate([spec for spec, _ in to_run], batch, checkpoint)
+        finally:
+            batch.timings.extend(
+                (spec.label(), seconds_of[index])
+                for index, (spec, _) in enumerate(to_run)
+                if index in seconds_of
+            )
+            if cache is not None:
+                batch.quarantined += cache.corrupt_evictions - evictions0
+                batch.cache_write_failures += cache.write_failures - writefails0
+            batch.wall_seconds = time.perf_counter() - t0
+            self.stats.merge(batch)
         return results, batch
+
+    def close(self, kill: bool = False) -> None:
+        """Retire the executor: it builds no worker pool after this.
+
+        The persistent pool's workers are joined, or, with ``kill=True``,
+        killed (an abandoned batch may still occupy them).  A closed
+        executor still answers cache hits.
+        """
+        with self._pool_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            self._kill_pool(pool)
+        else:
+            pool.shutdown(wait=True)
+
+    def worker_pids(self) -> list[int]:
+        """Pids of the persistent pool's live worker processes."""
+        with self._pool_lock:
+            pool = self._pool
+        processes = getattr(pool, "_processes", None) or {}
+        return sorted(
+            pid for pid, proc in list(processes.items()) if proc.is_alive()
+        )
 
     # ----------------------------------------------------------- simulation
     def _simulate(
-        self, specs: Sequence[CellSpec], batch: SweepStats
-    ) -> list[tuple[RunResult, float]]:
+        self,
+        specs: Sequence[CellSpec],
+        batch: SweepStats,
+        checkpoint: Callable[[int, tuple[RunResult, float]], None],
+    ) -> None:
+        """Simulate ``specs``, handing each ``(index, (result, seconds))``
+        to ``checkpoint`` as the cell completes."""
         if not specs:
-            return []
+            return
         machine_dict = (
             machine_to_dict(self.machine) if self.machine is not None else None
         )
-        if self.jobs == 1 or len(specs) == 1 or self._degraded:
+        if not self.isolate and (
+            self.jobs == 1 or len(specs) == 1 or self._degraded
+        ):
             arena = self._inline_arena()
-            out = []
-            for spec in specs:
-                out.append(
-                    self._run_inline(
-                        spec, machine_dict, batch,
-                        degraded=self._degraded, arena=arena,
-                    )
+            for index, spec in enumerate(specs):
+                outcome = self._run_inline(
+                    spec, machine_dict, batch,
+                    degraded=self._degraded, arena=arena,
                 )
                 if arena is not None:
                     batch.batched_cells += 1
-            return out
-        return self._run_pool(specs, machine_dict, batch)
+                checkpoint(index, outcome)
+            return
+        self._run_pool(specs, machine_dict, batch, checkpoint)
 
     def _inline_arena(self) -> Optional[KernelArena]:
         """The executor-lifetime arena for inline multi-cell sessions.
@@ -526,7 +659,12 @@ class SweepExecutor:
 
     @property
     def _degraded(self) -> bool:
-        return self.pool_failures >= self.retry.pool_failure_limit
+        # An isolated executor never runs a cell in its caller's
+        # interpreter; a cell that keeps killing workers fails instead.
+        return (
+            not self.isolate
+            and self.pool_failures >= self.retry.pool_failure_limit
+        )
 
     def _run_inline(
         self,
@@ -563,15 +701,52 @@ class SweepExecutor:
                 attempt += 1
 
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers)
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(self.isolate,),
+        )
+
+    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The pool a batch runs on: a fresh one of ``workers`` processes
+        per call or, isolated, the persistent pool of ``jobs`` processes
+        (forked on first use, and again after a teardown)."""
+        with self._pool_lock:
+            if self._closed:
+                raise RuntimeError(
+                    "executor is closed: it builds no more worker pools"
+                )
+            if not self.isolate:
+                return self._new_pool(workers)
+            # A worker that died between batches leaves the pool broken.
+            if self._pool is None or self._pool._broken:
+                self._pool = self._new_pool(self.jobs)
+            return self._pool
+
+    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Kill a hung, broken or abandoned pool and stop reusing it.
+
+        A persistent pool that :meth:`close` has already taken is left to
+        it, so each pool has exactly one killer.
+        """
+        with self._pool_lock:
+            owned = not self.isolate or self._pool is pool
+            if self._pool is pool:
+                self._pool = None
+        if owned:
+            self._kill_pool(pool)
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard — its workers may be hung or dead."""
+        """Tear a pool down hard — its workers may be hung or dead.
+
+        SIGKILL, not SIGTERM: a worker forked an instant ago may not have
+        reset the handlers it inherited yet (see :func:`_init_worker`).
+        """
         processes = getattr(pool, "_processes", None) or {}
         for proc in list(processes.values()):
             try:
-                proc.terminate()
+                proc.kill()
             except (OSError, ValueError):
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
@@ -581,13 +756,15 @@ class SweepExecutor:
         specs: Sequence[CellSpec],
         machine_dict: Optional[dict[str, Any]],
         batch: SweepStats,
-    ) -> list[tuple[RunResult, float]]:
+        checkpoint: Callable[[int, tuple[RunResult, float]], None],
+    ) -> None:
         """Resolve cells through a self-healing process pool.
 
         The work queue holds ``(indices, specs, attempt)`` flights — one
         cell each with ``batch_cells=1``, chunks of consecutive cells
-        otherwise; completed indices leave it permanently, so a pool
-        rebuild re-dispatches only the cells that were genuinely lost.
+        otherwise; completed indices leave it permanently (each one
+        checkpointed as its flight returns), so a pool rebuild
+        re-dispatches only the cells that were genuinely lost.
         Any chunk that fails, crashes its worker, or exceeds its (per-cell
         scaled) deadline is *decomposed* into single-cell flights so that
         retries isolate the culprit and error surfacing matches unbatched
@@ -595,7 +772,7 @@ class SweepExecutor:
         """
         policy = self.retry
         size = max(1, self.batch_cells)
-        results: dict[int, tuple[RunResult, float]] = {}
+        finished: set[int] = set()
         queue: deque[tuple[tuple[int, ...], tuple[CellSpec, ...], int]] = deque(
             (
                 tuple(range(i, min(i + size, len(specs)))),
@@ -604,10 +781,14 @@ class SweepExecutor:
             )
             for i in range(0, len(specs), size)
         )
-        workers = min(self.jobs, len(queue))
-        pool: Optional[ProcessPoolExecutor] = self._new_pool(workers)
+        workers = self.jobs if self.isolate else min(self.jobs, len(queue))
+        pool: Optional[ProcessPoolExecutor] = self._acquire_pool(workers)
         inflight: dict[Future, _Flight] = {}
         next_seq = 0
+
+        def finish(index: int, outcome: tuple[RunResult, float]) -> None:
+            finished.add(index)
+            checkpoint(index, outcome)
 
         def submit_ready() -> None:
             nonlocal next_seq
@@ -647,7 +828,7 @@ class SweepExecutor:
         def decompose(flight: _Flight, attempt: int) -> None:
             """Re-queue a failed chunk as single-cell flights."""
             for index, spec in zip(flight.indices, flight.specs):
-                if index not in results:
+                if index not in finished:
                     queue.append(((index,), (spec,), attempt))
 
         def requeue_inflight(overdue: set[Future], cause: str) -> None:
@@ -685,16 +866,22 @@ class SweepExecutor:
         def teardown_and_recover(overdue: set[Future], cause: str) -> None:
             nonlocal pool
             assert pool is not None
-            self._kill_pool(pool)
+            self._discard_pool(pool)
+            pool = None
             self.pool_failures += 1
             batch.pool_crashes += 1
             requeue_inflight(overdue, cause)
-            pool = self._new_pool(workers) if not self._degraded else None
+            pool = None if self._degraded else self._acquire_pool(workers)
             if self.verbose:
                 mode = "inline execution" if pool is None else "a fresh pool"
                 print(f"  pool lost; re-dispatching {len(queue)} cells via {mode}",
                       flush=True)
 
+        def failed_first(fut: Future) -> tuple[bool, int]:
+            failed = fut.cancelled() or fut.exception() is not None
+            return failed, inflight[fut].indices[0]
+
+        completed = False
         try:
             while queue or inflight:
                 if pool is None:
@@ -703,13 +890,14 @@ class SweepExecutor:
                     while queue:
                         indices, chunk, _ = queue.popleft()
                         for index, spec in zip(indices, chunk):
-                            if index not in results:
-                                results[index] = self._run_inline(
+                            if index not in finished:
+                                outcome = self._run_inline(
                                     spec, machine_dict, batch,
                                     degraded=True, arena=arena,
                                 )
                                 if arena is not None:
                                     batch.batched_cells += 1
+                                finish(index, outcome)
                     break
                 submit_ready()
                 arm_deadlines()
@@ -748,10 +936,12 @@ class SweepExecutor:
                     teardown_and_recover(overdue, "timeout")
                     continue
 
-                pool_broke = False
-                # Deterministic handling order (and lint-clean: `done` is a
-                # set), so retry backoff draws don't depend on hash order.
-                for fut in sorted(done, key=lambda f: inflight[f].indices[0]):
+                # Successes first, then failures, each in submission order:
+                # the handling order is deterministic (``done`` is a set,
+                # and retry backoff draws must not depend on hash order),
+                # and a failure that ends the batch finds every cell that
+                # arrived with it already checkpointed.
+                for fut in sorted(done, key=failed_first):
                     flight = inflight.pop(fut)
                     try:
                         out = fut.result()
@@ -761,7 +951,6 @@ class SweepExecutor:
                         # and rebuild.
                         inflight[fut] = flight
                         teardown_and_recover({fut}, "crash")
-                        pool_broke = True
                         break
                     except Exception as exc:
                         if len(flight.specs) > 1:
@@ -795,15 +984,18 @@ class SweepExecutor:
                         )
                         continue
                     if len(flight.specs) == 1:
-                        results[flight.indices[0]] = out
+                        finish(flight.indices[0], out)
                     else:
-                        for index, cell_result in zip(flight.indices, out):
-                            results[index] = cell_result
                         batch.batched_cells += len(flight.specs)
-                if pool_broke:
-                    continue
+                        for index, cell_result in zip(flight.indices, out):
+                            finish(index, cell_result)
+            completed = True
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return [results[i] for i in range(len(specs))]
+            if pool is not None and not self.isolate:
+                # Joined on success: a per-call pool's teardown would
+                # otherwise land on the caller's next work.
+                pool.shutdown(wait=completed, cancel_futures=True)
+            elif pool is not None and inflight:
+                # An abandoned batch's cells would keep the persistent
+                # workers busy, and their results would go nowhere.
+                self._discard_pool(pool)

@@ -20,19 +20,25 @@ Architecture, front to back:
   from the :class:`~repro.harness.cache.ResultCache` in O(1) with no
   simulation, and a :class:`~repro.service.fairness.FairScheduler`
   enforces per-client concurrency shares;
-* the **worker tier** — one background thread draining fair batches
-  through an unmodified :class:`~repro.harness.executor.SweepExecutor`
-  (same retries, timeouts, pool recovery, journal), so service results
-  are bitwise-identical to the single-process CLI path.  A watchdog
-  rebuilds the worker thread if it dies or hangs (mirroring the
-  executor's own stuck-pool recovery, one layer up).
+* the **worker tier** — one background thread feeding fair batches to
+  an isolated :class:`~repro.harness.executor.SweepExecutor` (same
+  retries, timeouts, pool recovery, journal), whose ``--jobs`` persistent
+  worker processes run every cell beside the daemon, never in its
+  interpreter: a simulating cell cannot hold the GIL that the HTTP front
+  needs.  The workers are forked at the first batch that simulates and
+  exit with the daemon (joined by a drain, killed with it by a SIGKILL).
+  The same ``simulate_cell`` runs, so service results are
+  bitwise-identical to the single-process CLI path.  A watchdog rebuilds
+  the worker thread if it dies or hangs (mirroring the executor's own
+  stuck-pool recovery, one layer up) and kills the retired pool.
 
 Durability: submissions are appended (fsynced) to ``<state>/jobs.jsonl``
-before they are acknowledged, completed cells land in the result cache
-and the fsynced sweep journal.  A SIGKILLed daemon therefore restarts by
-replaying ``jobs.jsonl``: finished cells resolve instantly from the cache
-(counted as *resumed* when the journal vouches for them) and only
-genuinely unfinished cells are re-simulated.  SIGTERM (or
+before they are acknowledged, and each cell lands in the result cache
+and the fsynced sweep journal the moment it completes.  A SIGKILLed
+daemon therefore restarts by replaying ``jobs.jsonl``: finished cells
+resolve instantly from the cache (counted as *resumed* when the journal
+vouches for them) and only genuinely unfinished cells are re-simulated.
+SIGTERM (or
 ``POST /v1/admin/drain``) is the *graceful* path: admissions stop (503),
 the in-flight batch finishes and checkpoints, and the daemon exits within
 a drain deadline — anything still queued resumes on the next start.
@@ -43,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -247,6 +254,7 @@ class SweepService:
             retry=self._retry,
             journal=journal,
             on_cell_complete=self._on_cell_complete,
+            isolate=True,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -301,10 +309,11 @@ class SweepService:
         """Stop the worker tier; pending work persists in ``jobs.jsonl``.
 
         The in-flight batch is allowed to finish (and checkpoint through
-        the journal) within ``timeout_s`` (default: ``drain_grace_s``).
-        A worker that fails to join by the deadline is logged and
-        surfaced as :class:`ServiceShutdownError` — never silently
-        abandoned.
+        the journal) within ``timeout_s`` (default: ``drain_grace_s``);
+        the executor is then closed, which joins its worker processes.
+        A worker thread that fails to join by the deadline is abandoned,
+        its worker processes are killed, and the miss is logged and
+        surfaced as :class:`ServiceShutdownError` — never silent.
         """
         deadline = self.drain_grace_s if timeout_s is None else timeout_s
         self._stop.set()
@@ -320,15 +329,20 @@ class SweepService:
         if worker is not None:
             worker.join(timeout=deadline)
             stuck = worker.is_alive()
+        with self._cond:
+            if stuck:
+                # The abandoned thread must not touch job state when its
+                # killed pool makes its batch fail.
+                self._worker_gen += 1
+            executor, journal = self.executor, self.journal
+        executor.close(kill=stuck)
         if stuck:
             message = (
                 f"sweep worker thread failed to stop within {deadline:.1f}s; "
-                "state may still be mutating (journal left open)"
+                "its worker processes were killed (journal left open)"
             )
             print(f"repro-serve: ERROR: {message}", file=sys.stderr, flush=True)
         else:
-            with self._cond:
-                journal = self.journal
             journal.close()
         with self._log_lock:
             if self._jobs_log is not None:
@@ -587,11 +601,13 @@ class SweepService:
                 executor.run_cells(specs)
             except Exception as exc:  # the daemon must survive any cell error
                 # Exhausted retries / non-retryable cell error: fail every
-                # batch cell that didn't complete, keep serving.
+                # batch cell that didn't complete (the executor already
+                # checkpointed the ones that did), keep serving.
                 with self._cond:
                     if gen != self._worker_gen:
-                        # Abandoned mid-batch by the watchdog: the new
-                        # worker owns these (requeued) cells now.
+                        # Abandoned mid-batch by the watchdog (the new
+                        # worker owns these requeued cells now) or by a
+                        # missed stop deadline.
                         return
                     for task in batch:
                         if task.state != _DONE:
@@ -696,6 +712,9 @@ class SweepService:
         # call; retire them (keeping their lifetime stats) and hand the
         # new worker fresh ones on the same on-disk state.
         self._stats_base.merge(self.executor.stats)
+        # Killing the retired pool wakes the abandoned thread with a
+        # broken pool, and the closed executor refuses to fork another.
+        self.executor.close(kill=True)
         self.journal = SweepJournal(self._journal_path)
         self.executor = self._build_executor(self.journal)
         for task in self._tasks.values():
@@ -829,6 +848,7 @@ class SweepService:
                 "known_cells": len(self._tasks),
                 "worker": {
                     "alive": worker.is_alive() if worker is not None else False,
+                    "pids": self.executor.worker_pids(),
                     "rebuilds": self.worker_rebuilds,
                     "last_rebuild_reason": self._last_rebuild_reason,
                 },
@@ -926,6 +946,15 @@ class ServiceServer:
         the drain deadline — ``serve()`` turns that into a nonzero exit.
         """
         if self._server is not None:
+            for sock in self._server.sockets:
+                # Forked simulation workers hold copies of the listening
+                # socket; shutting it down stops the port accepting for
+                # every holder, where close() only drops this process's
+                # copy.  (Linux; elsewhere close() alone applies.)
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             self._server.close()
             await self._server.wait_closed()
             self._server = None

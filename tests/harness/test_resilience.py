@@ -7,19 +7,24 @@ cells hitting the wall-clock timeout, and checkpoint/resume of an
 interrupted sweep.
 
 The chaos cell functions are module-level and coordinate across process
-boundaries through sentinel files in a directory named by an environment
-variable — a monkeypatched ``cell_fn`` cannot help once the cell runs in
-a pool worker.
+boundaries through the sentinel files of ``tests.cells`` — a
+monkeypatched ``cell_fn`` cannot help once the cell runs in a pool
+worker.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 
 import pytest
 
+import repro
 from repro.harness.cache import QUARANTINE_DIR, ResultCache
 from repro.harness.executor import (
     CellFailedError,
@@ -29,9 +34,7 @@ from repro.harness.executor import (
     simulate_cell,
 )
 from repro.harness.journal import SweepJournal
-
-_CHAOS_DIR_ENV = "REPRO_TEST_CHAOS_DIR"
-_MAIN_PID_ENV = "REPRO_TEST_MAIN_PID"
+from tests import cells
 
 SCALE = 0.05
 
@@ -43,37 +46,23 @@ def _spec(workload="swaptions", policy="fifo", seed=1, faults="off"):
     )
 
 
-def _sentinel(name):
-    return os.path.join(os.environ[_CHAOS_DIR_ENV], name)
-
-
-def _once(name):
-    """True exactly once per sentinel name, across processes."""
-    flag = _sentinel(name)
-    if os.path.exists(flag):
-        return False
-    with open(flag, "w", encoding="utf-8"):
-        pass
-    return True
-
-
 def kill_once_cell(spec, machine_dict=None):
     """SIGKILL the hosting worker on the first attempt per cell."""
-    if _once(f"kill-{spec.policy}-{spec.seed}"):
+    if cells.once(f"kill-{spec.policy}-{spec.seed}"):
         os.kill(os.getpid(), signal.SIGKILL)
     return simulate_cell(spec, machine_dict)
 
 
 def kill_in_worker_cell(spec, machine_dict=None):
-    """SIGKILL whenever running outside the main test process."""
-    if os.environ[_MAIN_PID_ENV] != str(os.getpid()):
+    """SIGKILL whenever running in a pool worker."""
+    if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return simulate_cell(spec, machine_dict)
 
 
 def hang_once_cell(spec, machine_dict=None):
     """Hang (far beyond any test timeout) on the first attempt per cell."""
-    if _once(f"hang-{spec.policy}-{spec.seed}"):
+    if cells.once(f"hang-{spec.policy}-{spec.seed}"):
         time.sleep(600)
     return simulate_cell(spec, machine_dict)
 
@@ -92,26 +81,33 @@ def hang_forever_cell(spec, machine_dict=None):
 
 def flaky_cell(spec, machine_dict=None):
     """Raise a retryable error on the first attempt per cell."""
-    if _once(f"flaky-{spec.policy}-{spec.seed}"):
+    if cells.once(f"flaky-{spec.policy}-{spec.seed}"):
         raise RuntimeError("transient chaos")
     return simulate_cell(spec, machine_dict)
 
 
 def bad_cell(spec, machine_dict=None):
     """Deterministic failure; also counts its invocations via sentinels."""
-    with open(_sentinel(f"bad-calls-{time.monotonic_ns()}"), "w",
-              encoding="utf-8"):
-        pass
+    cells.touch(f"bad-calls-{time.monotonic_ns()}")
     raise ValueError("deterministically broken cell")
 
 
-@pytest.fixture
-def chaos_dir(tmp_path, monkeypatch):
-    d = tmp_path / "chaos"
-    d.mkdir()
-    monkeypatch.setenv(_CHAOS_DIR_ENV, str(d))
-    monkeypatch.setenv(_MAIN_PID_ENV, str(os.getpid()))
-    return d
+def fail_after_checkpoints_cell(spec, machine_dict=None):
+    """Fail ``cata`` deterministically, but only once the journal (sentinel
+    ``journal.jsonl``) holds two lines: the cells before it must be
+    checkpointed while the batch is still running (at most 10 s of
+    waiting)."""
+    if spec.policy == "cata":
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            try:
+                if len(cells.read("journal.jsonl").splitlines()) >= 2:
+                    break
+            except FileNotFoundError:
+                pass
+            time.sleep(0.01)
+        raise ValueError("deterministically broken cell")
+    return simulate_cell(spec, machine_dict)
 
 
 def _fast_retry(**kw):
@@ -253,14 +249,14 @@ class TestRetryPolicy:
 
 
 class TestInlineResilience:
-    def test_flaky_cell_retries_to_success(self, chaos_dir):
+    def test_flaky_cell_retries_to_success(self, cell_dir):
         ex = SweepExecutor(jobs=1, retry=_fast_retry(), cell_fn=flaky_cell)
         results, batch = ex.run_cells([_spec()])
         assert batch.simulated == 1
         assert batch.retries == 1
         assert results[_spec()].tasks_executed > 0
 
-    def test_exhausted_retries_raise(self, chaos_dir):
+    def test_exhausted_retries_raise(self, cell_dir):
         def always_fails(spec, machine_dict=None):
             raise RuntimeError("permanent chaos")
 
@@ -269,18 +265,21 @@ class TestInlineResilience:
         )
         with pytest.raises(RuntimeError, match="permanent chaos"):
             ex.run_cells([_spec()])
-        assert ex.stats.retries == 0  # lifetime merge happens on success
+        # A failed batch's stats merge into the lifetime totals too: its
+        # finished cells are checkpointed, so they must be counted.
+        assert ex.stats.retries == 1
+        assert ex.stats.simulated == 0
 
-    def test_deterministic_errors_never_retry(self, chaos_dir):
+    def test_deterministic_errors_never_retry(self, cell_dir):
         ex = SweepExecutor(jobs=1, retry=_fast_retry(), cell_fn=bad_cell)
         with pytest.raises(ValueError, match="deterministically broken"):
             ex.run_cells([_spec()])
-        calls = [f for f in os.listdir(chaos_dir) if f.startswith("bad-calls-")]
+        calls = [f for f in os.listdir(cell_dir) if f.startswith("bad-calls-")]
         assert len(calls) == 1
 
 
 class TestPoolResilience:
-    def test_sigkilled_worker_recovers(self, chaos_dir):
+    def test_sigkilled_worker_recovers(self, cell_dir):
         specs = [_spec(policy=p) for p in ("fifo", "cats_sa", "cata")]
         ex = SweepExecutor(jobs=2, retry=_fast_retry(), cell_fn=kill_once_cell)
         results, batch = ex.run_cells(specs)
@@ -290,7 +289,7 @@ class TestPoolResilience:
         for s in specs:
             assert results[s].exec_time_ns == expected[s].exec_time_ns
 
-    def test_hung_cell_times_out_then_succeeds(self, chaos_dir):
+    def test_hung_cell_times_out_then_succeeds(self, cell_dir):
         specs = [_spec(policy=p) for p in ("fifo", "cats_sa")]
         ex = SweepExecutor(
             jobs=2,
@@ -304,7 +303,7 @@ class TestPoolResilience:
         for s in specs:
             assert results[s].tasks_executed > 0
 
-    def test_relentless_crashes_degrade_to_inline(self, chaos_dir):
+    def test_relentless_crashes_degrade_to_inline(self, cell_dir):
         specs = [_spec(policy=p) for p in ("fifo", "cats_sa")]
         ex = SweepExecutor(
             jobs=2,
@@ -341,7 +340,7 @@ class TestPoolResilience:
         for s in specs:
             assert results[s].tasks_executed > 0
 
-    def test_crash_exhaustion_raises_cell_failed_not_timeout(self, chaos_dir):
+    def test_crash_exhaustion_raises_cell_failed_not_timeout(self, cell_dir):
         # Regression: exhausting attempts through repeated pool *crashes*
         # used to raise TimeoutError("... exceeded Nones wall-clock ...")
         # even with timeouts disabled, because the timeout message was
@@ -355,7 +354,7 @@ class TestPoolResilience:
         with pytest.raises(CellFailedError, match="pool crash"):
             ex.run_cells(specs)
 
-    def test_timeout_exhaustion_still_raises_timeout_error(self, chaos_dir):
+    def test_timeout_exhaustion_still_raises_timeout_error(self, cell_dir):
         specs = [_spec(policy=p) for p in ("fifo", "cats_sa")]
         ex = SweepExecutor(
             jobs=2,
@@ -381,7 +380,7 @@ class TestPoolResilience:
 
 class TestCheckpointResume:
     def test_interrupted_sweep_resumes_only_incomplete_cells(
-        self, tmp_path, chaos_dir
+        self, tmp_path, cell_dir
     ):
         cache_dir = str(tmp_path / "cache")
         journal_path = os.path.join(cache_dir, "journal.jsonl")
@@ -420,7 +419,7 @@ class TestCheckpointResume:
         for s in specs:
             assert results[s].exec_time_ns == fresh[s].exec_time_ns
 
-    def test_resumed_results_match_after_worker_kill(self, tmp_path, chaos_dir):
+    def test_resumed_results_match_after_worker_kill(self, tmp_path, cell_dir):
         cache_dir = str(tmp_path / "cache")
         journal_path = os.path.join(cache_dir, "journal.jsonl")
         specs = [_spec(policy=p) for p in ("fifo", "cats_sa")]
@@ -494,6 +493,194 @@ class TestCheckpointResume:
         _, batch = ex.run_cells([spec])
         assert batch.quarantined == 1
         assert batch.simulated == 1
+
+
+class TestPerCellCheckpoint:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_batch_keeps_finished_cells_and_resumes_the_rest(
+        self, tmp_path, cell_dir, jobs
+    ):
+        cache_dir = str(tmp_path / "cache")
+        # The failing cell watches this journal.
+        journal_path = cells.sentinel("journal.jsonl")
+        specs = [_spec(policy=p) for p in ("fifo", "cats_sa", "cata")]
+        first = SweepExecutor(
+            jobs=jobs,
+            cache=ResultCache(cache_dir),
+            journal=SweepJournal(journal_path),
+            retry=_fast_retry(),
+            cell_fn=fail_after_checkpoints_cell,
+        )
+        with pytest.raises(ValueError, match="deterministically broken"):
+            first.run_cells(specs)
+        first.journal.close()
+        # The failed batch's finished cells count in the lifetime stats.
+        assert first.stats.simulated == 2
+        assert len(first.stats.timings) == 2
+        finished = {s.key() for s in specs[:2]}
+        assert SweepJournal(journal_path).completed == finished
+        cache = ResultCache(cache_dir)
+        assert len(cache) == 2
+        assert all(cache.get(key) is not None for key in finished)
+
+        resumed = SweepExecutor(
+            jobs=jobs,
+            cache=ResultCache(cache_dir),
+            journal=SweepJournal(journal_path),
+        )
+        results, batch = resumed.run_cells(specs)
+        resumed.journal.close()
+        assert batch.resumed == 2
+        assert batch.cache_hits == 2
+        assert batch.simulated == 1
+        fresh, _ = SweepExecutor(jobs=1).run_cells(specs)
+        for s in specs:
+            assert results[s].exec_time_ns == fresh[s].exec_time_ns
+
+
+def _cell_pids():
+    return [pid for pid, _, _ in cells.calls()]
+
+
+class TestIsolatedExecutor:
+    def test_inline_executor_runs_cells_in_process(self, cell_dir):
+        SweepExecutor(jobs=1, cell_fn=cells.counting_cell).run_cells([_spec()])
+        assert _cell_pids() == [os.getpid()]
+
+    def test_cells_run_on_one_persistent_worker_until_close(self, cell_dir):
+        ex = SweepExecutor(jobs=1, isolate=True, cell_fn=cells.counting_cell)
+        try:
+            # A one-cell batch at jobs=1 still leaves the interpreter.
+            ex.run_cells([_spec(seed=1)])
+            ex.run_cells([_spec(seed=2), _spec(seed=3)])
+            pids = _cell_pids()
+            assert len(pids) == 3
+            assert set(pids) == set(ex.worker_pids())
+            assert os.getpid() not in pids
+        finally:
+            ex.close()
+        assert ex.worker_pids() == []
+        assert cells.wait_gone(pids, timeout_s=0.0)
+        with pytest.raises(RuntimeError, match="closed"):
+            ex.run_cells([_spec(seed=4)])
+
+    def test_worker_killed_between_batches_is_replaced(self, cell_dir):
+        ex = SweepExecutor(jobs=1, isolate=True, cell_fn=cells.counting_cell)
+        try:
+            ex.run_cells([_spec(seed=1)])
+            (victim,) = ex.worker_pids()
+            os.kill(victim, signal.SIGKILL)
+            # Wait until the idle pool has noticed: from then on its
+            # submit() raises instead of returning a doomed future.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not ex._pool._broken:
+                time.sleep(0.01)
+            assert ex._pool._broken
+            results, _ = ex.run_cells([_spec(seed=2)])
+            assert results[_spec(seed=2)].tasks_executed > 0
+            assert _cell_pids()[-1] != victim
+        finally:
+            ex.close()
+
+    def test_isolated_worker_leaves_ctrl_c_to_its_parent(self, cell_dir):
+        # A terminal's Ctrl-C reaches the whole process group; the
+        # service drains on it, so its workers must not die of it.
+        ex = SweepExecutor(jobs=1, isolate=True, cell_fn=cells.counting_cell)
+        try:
+            ex.run_cells([_spec(seed=1)])
+            (worker,) = ex.worker_pids()
+            os.kill(worker, signal.SIGINT)
+            ex.run_cells([_spec(seed=2)])
+            assert _cell_pids() == [worker, worker]
+        finally:
+            ex.close()
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        script = (
+            "import sys\n"
+            "from repro.harness.executor import CellSpec, SweepExecutor\n"
+            "ex = SweepExecutor(jobs=2, isolate=True)\n"
+            "ex.run_cells([CellSpec('swaptions', 'fifo', 8, s, 0.05)"
+            " for s in (1, 2)])\n"
+            "print(*ex.worker_pids(), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", script], env=_subprocess_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        ) as proc:
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(pids) == 2
+            finally:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert cells.wait_gone(pids)
+
+    def test_workers_stay_off_an_asyncio_parents_signal_handlers(
+        self, cell_dir
+    ):
+        # `repro serve` installs asyncio SIGINT/SIGTERM handlers before its
+        # dispatch thread forks the pool.  Its workers must still die of a
+        # pool kill and of SIGTERM, and neither may reach the daemon's
+        # handlers (which would drain it).
+        script = textwrap.dedent("""\
+            import asyncio, json, os, signal, threading
+            from repro.harness.executor import CellSpec, SweepExecutor
+            from tests import cells
+
+            handled = []
+            loop = asyncio.new_event_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(sig, handled.append, sig.name)
+
+            def run_in_thread(ex, seed):
+                def run():
+                    try:
+                        ex.run_cells([CellSpec("swaptions", "fifo", 8, seed, 0.05)])
+                    except Exception:
+                        pass
+                thread = threading.Thread(target=run, daemon=True)
+                thread.start()
+                return thread
+
+            def settle():
+                loop.run_until_complete(asyncio.sleep(0.5))
+
+            wedged = SweepExecutor(jobs=1, isolate=True, cell_fn=cells.wedged_cell)
+            run_in_thread(wedged, 1)
+            assert cells.wait_for("entered", 30.0)
+            worker = int(cells.read("entered"))
+            wedged.close(kill=True)
+            killed = cells.wait_gone([worker])
+            settle()
+
+            idle = SweepExecutor(jobs=1, isolate=True)
+            run_in_thread(idle, 2).join()
+            (worker,) = idle.worker_pids()
+            os.kill(worker, signal.SIGTERM)
+            terminated = cells.wait_gone([worker])
+            settle()
+            idle.close(kill=True)
+            print(json.dumps([killed, terminated, handled]), flush=True)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        killed, terminated, handled = json.loads(out.stdout)
+        assert killed, "close(kill=True) left the wedged worker running"
+        assert terminated, "SIGTERM did not end an idle worker"
+        assert handled == []
+
+
+def _subprocess_env():
+    """Environment of a child interpreter that imports ``repro`` and
+    ``tests``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cells.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
 
 
 class TestDuplicateSpecAccounting:

@@ -8,6 +8,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.service.client import (
 from repro.service.overload import OverloadPolicy
 from repro.service.protocol import MAX_BODY_BYTES
 from repro.service.server import ServiceServer, SweepService
+from tests import cells
 
 SCALE = 0.05
 
@@ -301,6 +303,39 @@ class TestDrainOverHTTP:
         live.server.on_drain = fired.set
         ServiceClient(live.url).drain()
         assert fired.wait(timeout=10)
+
+
+    def test_stopping_front_refuses_connections_while_workers_finish(
+        self, tmp_path, cell_dir
+    ):
+        live = _LiveServer(str(tmp_path / "state"))
+        live.service.executor.cell_fn = cells.wedged_cell
+        _submit(ServiceClient(live.url), policies=["fifo"])
+        assert cells.wait_for("entered", timeout_s=30.0)
+        # The worker forked for the cell holds a copy of the listening
+        # socket; while stop() waits for its batch, the port must refuse.
+        stopping = asyncio.run_coroutine_threadsafe(live.server.stop(), live.loop)
+        try:
+            deadline = time.monotonic() + 10.0
+            refused = False
+            while not refused and time.monotonic() < deadline:
+                try:
+                    socket.create_connection(
+                        ("127.0.0.1", live.server.port), timeout=1.0
+                    ).close()
+                except ConnectionRefusedError:
+                    refused = True
+                except OSError:  # queued on a backlog nobody accepts
+                    pass
+                time.sleep(0.05)
+            assert refused
+            assert not stopping.done()  # the batch is still in flight
+        finally:
+            cells.touch("release")
+            stopping.result(timeout=60)
+            live.loop.call_soon_threadsafe(live.loop.stop)
+            live.thread.join(timeout=10)
+            live.loop.close()
 
 
 class TestEndpointFile:

@@ -1,12 +1,13 @@
 """Service-core tests: dedup, warm serving, fairness accounting, failure
-containment, and journal-backed restart/resume — all in-process (the HTTP
-front has its own tests in ``test_http.py``; true SIGKILL of a daemon
-subprocess is exercised by ``scripts/service_smoke.py`` in CI)."""
+containment, worker processes and journal-backed restart/resume — all
+in-process (the HTTP front has its own tests in ``test_http.py``; true
+SIGKILL of a daemon subprocess is exercised by
+``scripts/service_smoke.py`` in CI).  Injected cells run in the daemon's
+worker processes, so they come from ``tests.cells``."""
 
 import json
+import multiprocessing
 import os
-import threading
-import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.service.protocol import (
     result_fingerprint,
 )
 from repro.service.server import SweepService
+from tests import cells
 
 SCALE = 0.05
 
@@ -146,19 +148,10 @@ class TestSubmitAndServe:
 
 class TestInFlightDedup:
     def test_concurrent_identical_submissions_simulate_each_cell_once(
-        self, tmp_path
+        self, tmp_path, cell_dir
     ):
         svc = SweepService(str(tmp_path / "state"), jobs=1)
-        calls = []
-        lock = threading.Lock()
-
-        def counting_slow_cell(spec, machine_dict=None):
-            with lock:
-                calls.append(spec.key())
-            time.sleep(0.2)
-            return simulate_cell(spec, machine_dict)
-
-        svc.executor.cell_fn = counting_slow_cell
+        svc.executor.cell_fn = cells.counting_slow_cell
         try:
             first = svc.submit(_grid(client="alice"))
             svc.start()
@@ -169,6 +162,7 @@ class TestInFlightDedup:
             assert second["pending"] == 0
             s1 = _wait_done(svc, first["job"])
             s2 = _wait_done(svc, second["job"])
+            calls = [key for _, _, key in cells.calls()]
             # Each unique cell simulated exactly once, across both clients.
             assert sorted(calls) == sorted(set(calls))
             assert len(calls) == first["unique"]
@@ -184,13 +178,8 @@ class TestInFlightDedup:
 
 
 class TestFailureContainment:
-    def test_broken_cell_fails_job_but_daemon_survives(self, service):
-        def broken_cell(spec, machine_dict=None):
-            if spec.policy == "cata":
-                raise ValueError("deterministically broken")
-            return simulate_cell(spec, machine_dict)
-
-        service.executor.cell_fn = broken_cell
+    def test_broken_cell_fails_job_but_daemon_survives(self, service, cell_dir):
+        service.executor.cell_fn = cells.broken_cell
         receipt = service.submit(_grid())
         status = service.wait_settled(receipt["job"], 60.0)
         assert status["state"] == "failed"
@@ -204,25 +193,68 @@ class TestFailureContainment:
         ok = service.submit(_grid(policies=("fifo",), seeds=(2,)))
         assert _wait_done(service, ok["job"])["simulated"] == 1
 
-    def test_failed_cell_is_retried_by_a_later_submission(self, service):
-        flag = {"broken": True}
-
-        def flaky_deterministic(spec, machine_dict=None):
-            if flag["broken"]:
-                raise ValueError("config error, fixed later")
-            return simulate_cell(spec, machine_dict)
-
-        service.executor.cell_fn = flaky_deterministic
+    def test_failed_cell_is_retried_by_a_later_submission(
+        self, service, cell_dir
+    ):
+        service.executor.cell_fn = cells.broken_until_fixed_cell
         bad = service.submit(_grid(policies=("fifo",)))
         assert service.wait_settled(bad["job"], 60.0)["state"] == "failed"
-        flag["broken"] = False
+        cells.touch("fixed")
         retry = service.submit(_grid(policies=("fifo",)))
         assert _wait_done(service, retry["job"])["simulated"] == 1
+
+    def test_cells_finished_before_a_broken_one_report_done(
+        self, service, cell_dir
+    ):
+        # One batch, one worker: fifo and cats_sa finish before cata
+        # breaks it.  Each was checkpointed as it completed, so only the
+        # broken cell fails.
+        service.executor.cell_fn = cells.broken_cell
+        receipt = service.submit(_grid(policies=("fifo", "cats_sa", "cata")))
+        assert service.wait_settled(receipt["job"], 60.0)["state"] == "failed"
+        detail = service.status(receipt["job"], detail=True)["detail"]
+        fifo, cats_sa, cata = _specs_of_grid(("fifo", "cats_sa", "cata"))
+        assert {row["key"]: row["state"] for row in detail} == {
+            fifo.key(): "done", cats_sa.key(): "done", cata.key(): "failed",
+        }
+        assert all(service.cache.get(s.key()) is not None for s in (fifo, cats_sa))
+        assert service.journal.completed == {fifo.key(), cats_sa.key()}
+
+
+class TestWorkerProcesses:
+    def test_cold_jobs_run_on_one_worker_outside_the_daemon(
+        self, service, cell_dir
+    ):
+        service.executor.cell_fn = cells.counting_cell
+        for policy in ("fifo", "cata"):
+            receipt = service.submit(_grid(policies=(policy,)))
+            _wait_done(service, receipt["job"])
+        pids = [pid for pid, _, _ in cells.calls()]
+        assert len(pids) == 2
+        # The daemon's interpreter runs no cell, and consecutive cold jobs
+        # share one persistent worker, the one healthz names.
+        assert pids[0] == pids[1] != os.getpid()
+        assert service.health()["worker"]["pids"] == [pids[0]]
+
+    def test_stop_joins_every_worker_process(self, tmp_path):
+        # Children still exiting from earlier tests are not this service's.
+        before = {p.pid for p in multiprocessing.active_children()}
+        svc = SweepService(str(tmp_path / "state"), jobs=2)
+        svc.start()
+        try:
+            receipt = svc.submit(_grid())
+            _wait_done(svc, receipt["job"])
+            workers = svc.health()["worker"]["pids"]
+            assert len(workers) == 2
+        finally:
+            svc.stop()
+        assert {p.pid for p in multiprocessing.active_children()} - before == set()
+        assert svc.health()["worker"]["pids"] == []
 
 
 class TestRestartResume:
     def test_killed_daemon_resumes_jobs_and_skips_finished_cells(
-        self, tmp_path
+        self, tmp_path, cell_dir
     ):
         state = str(tmp_path / "state")
         # Life 1: accept a 3-cell job, finish exactly one cell, then die
@@ -233,17 +265,14 @@ class TestRestartResume:
         receipt = life1.submit(_grid(policies=("fifo", "cats_sa", "cata")))
         specs = _specs_of_grid(("fifo", "cats_sa", "cata"))
         life1.executor.run_cells(specs[:1])
-        del life1  # no stop(): a SIGKILL never says goodbye
-
-        calls = []
-
-        def counting_cell(spec, machine_dict=None):
-            calls.append(spec.policy)
-            return simulate_cell(spec, machine_dict)
+        # No stop(): a SIGKILL never says goodbye.  Its worker process
+        # dies with the daemon, as the parent watch makes it.
+        life1.executor.close(kill=True)
+        del life1
 
         life2 = SweepService(state, jobs=1)
         assert life2.recovered_jobs == 1
-        life2.executor.cell_fn = counting_cell
+        life2.executor.cell_fn = cells.counting_cell
         life2.start()
         try:
             status = _wait_done(life2, receipt["job"])
@@ -252,6 +281,7 @@ class TestRestartResume:
             assert status["resumed"] == 1
             assert status["cached"] == 1
             assert status["simulated"] == 2
+            calls = [policy for _, policy, _ in cells.calls()]
             assert sorted(calls) == ["cata", "cats_sa"]
             served = life2.fetch(receipt["job"])
             fresh, _ = SweepExecutor(jobs=1).run_cells(specs)
