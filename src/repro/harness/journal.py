@@ -12,23 +12,35 @@ Format: one JSON object per line — ``{"key": ..., "label": ...,
 "seconds": ...}``.  The loader is deliberately tolerant: a torn final line
 (the process died mid-append) or any undecodable line is skipped, because
 the journal is an optimization over the cache, never an authority.
+
+A closed journal stays closed: ``record`` and ``close`` share one lock,
+and a ``record`` that arrives after ``close`` (a thread abandoned by the
+sweep service's watchdog finishing its cell late) is dropped, not
+appended through a reopened handle.  The cell it names is already in the
+cache.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Optional, TextIO
 
 __all__ = ["SweepJournal"]
 
 
 class SweepJournal:
-    """Append-only completion ledger for one sweep directory."""
+    """Append-only completion ledger for one sweep directory.
+
+    @guarded_by("_lock"): _fh, _closed
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh: Optional[TextIO] = None
+        self._lock = threading.Lock()
+        self._closed = False
         self.recorded = 0
         #: Torn/garbage lines skipped by the loader.
         self.skipped_lines = 0
@@ -65,9 +77,15 @@ class SweepJournal:
         return done
 
     def record(self, key: str, label: str, seconds: float) -> None:
-        """Append one completed cell; crash-safe (flush + fsync)."""
-        if key in self.completed:
-            return
+        """Append one completed cell; crash-safe (flush + fsync).
+
+        Thread-safe; a no-op once the journal is closed.
+        """
+        with self._lock:
+            if not self._closed and key not in self.completed:
+                self._append_locked(key, label, seconds)
+
+    def _append_locked(self, key: str, label: str, seconds: float) -> None:
         try:
             if self._fh is None:
                 os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
@@ -99,12 +117,15 @@ class SweepJournal:
             return fh.read(1) == b"\n"
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
+        """Close the append handle; later ``record`` calls are dropped."""
+        with self._lock:
+            self._closed = True
+            if self._fh is not None:
+                try:
+                    self._fh.close()
+                except OSError:
+                    pass
+                self._fh = None
 
     def __enter__(self) -> "SweepJournal":
         return self

@@ -336,14 +336,15 @@ class SweepService:
                 self._worker_gen += 1
             executor, journal = self.executor, self.journal
         executor.close(kill=stuck)
+        # Closed on both paths: an abandoned thread that finishes a cell
+        # late finds the journal closed and drops the line.
+        journal.close()
         if stuck:
             message = (
                 f"sweep worker thread failed to stop within {deadline:.1f}s; "
-                "its worker processes were killed (journal left open)"
+                "its worker processes were killed"
             )
             print(f"repro-serve: ERROR: {message}", file=sys.stderr, flush=True)
-        else:
-            journal.close()
         with self._log_lock:
             if self._jobs_log is not None:
                 try:
@@ -713,8 +714,10 @@ class SweepService:
         # new worker fresh ones on the same on-disk state.
         self._stats_base.merge(self.executor.stats)
         # Killing the retired pool wakes the abandoned thread with a
-        # broken pool, and the closed executor refuses to fork another.
+        # broken pool, and the closed executor refuses to fork another;
+        # the closed journal drops any line that thread records late.
         self.executor.close(kill=True)
+        self.journal.close()
         self.journal = SweepJournal(self._journal_path)
         self.executor = self._build_executor(self.journal)
         for task in self._tasks.values():

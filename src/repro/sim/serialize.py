@@ -24,14 +24,8 @@ from .config import (
     OverheadConfig,
     PowerModelConfig,
 )
-from .trace import (
-    CStateRecord,
-    FreqChangeRecord,
-    LockWaitRecord,
-    ReconfigRecord,
-    TaskSpan,
-    Trace,
-)
+from .trace import RECORD_TYPES as _TRACE_RECORD_TYPES
+from .trace import Trace
 
 __all__ = [
     "machine_to_dict",
@@ -83,15 +77,6 @@ def machine_from_dict(data: dict[str, Any]) -> MachineConfig:
     )
 
 
-#: Trace record lists and the dataclass each element rebuilds into.
-_TRACE_RECORD_TYPES: dict[str, type] = {
-    "task_spans": TaskSpan,
-    "reconfigs": ReconfigRecord,
-    "lock_waits": LockWaitRecord,
-    "cstate_changes": CStateRecord,
-    "freq_changes": FreqChangeRecord,
-}
-
 #: Field names of each record type, in declaration order.  Records hold
 #: only scalars, so reading these attributes gives exactly what
 #: ``dataclasses.asdict`` would, without its recursive deep copy.
@@ -117,9 +102,64 @@ _RESULT_OMIT_WHEN_NONE: tuple[str, ...] = (
     "qos_violation_rate",
 )
 
+#: The two key sets the record encoder emits per list: every field, and
+#: every field but the ones omitted while None (equal where none are).
+_TRACE_RECORD_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+    name: (
+        frozenset(fields),
+        frozenset(fields) - frozenset(_OMIT_WHEN_NONE.get(name, ())),
+    )
+    for name, fields in _TRACE_RECORD_FIELDS.items()
+}
+
+
+def _encode_records(name: str, records: list[Any]) -> list[dict[str, Any]]:
+    fields = _TRACE_RECORD_FIELDS[name]
+    out = [{field: getattr(rec, field) for field in fields} for rec in records]
+    omit = _OMIT_WHEN_NONE.get(name)
+    if omit:
+        for rec_d in out:
+            for key in omit:
+                if rec_d[key] is None:
+                    del rec_d[key]
+    return out
+
+
+def _checked_records(name: str, records: Any) -> list[dict[str, Any]]:
+    """``records`` checked to be a list of ``name`` records in encoder form.
+
+    Raises ``TypeError``, which the cache treats as corruption, for
+    anything but a list of objects, for a record missing a required
+    field and for a record with a field its type lacks.  A valid record
+    off the encoder's form (a defaulted field absent, or ``tenant``
+    present as null) is replaced, in a copy of the list, by its
+    encoding, so an unread list re-encodes to the eager records' bytes.
+    """
+    if type(records) is not list:
+        raise TypeError(f"trace {name!r} is not a list")
+    full, bare = _TRACE_RECORD_KEYS[name]
+    omit = _OMIT_WHEN_NONE.get(name, ())
+    out = records
+    for i, d in enumerate(records):
+        if type(d) is not dict:
+            raise TypeError(f"trace {name!r} record {i} is not an object")
+        keys = d.keys()
+        if keys == bare or (keys == full and all(d[k] is not None for k in omit)):
+            continue
+        rec = _TRACE_RECORD_TYPES[name](**d)  # TypeError on a bad key set
+        if out is records:
+            out = list(records)
+        out[i] = _encode_records(name, [rec])[0]
+    return out
+
 
 def trace_to_dict(trace: Trace) -> dict[str, Any]:
-    """Plain-dict form of a :class:`Trace` (records and counters)."""
+    """Plain-dict form of a :class:`Trace` (records and counters).
+
+    A record list nobody has read since :func:`trace_from_dict` is
+    emitted as its parsed dicts, shared with the trace: callers encode
+    the output and must not mutate it.
+    """
     out: dict[str, Any] = {
         "enabled": trace.enabled,
         "tasks_executed": trace.tasks_executed,
@@ -129,23 +169,21 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
         "total_lock_wait_ns": trace.total_lock_wait_ns,
         "max_lock_wait_ns": trace.max_lock_wait_ns,
     }
-    for name, fields in _TRACE_RECORD_FIELDS.items():
-        omit = _OMIT_WHEN_NONE.get(name)
-        records = [
-            {field: getattr(rec, field) for field in fields}
-            for rec in getattr(trace, name)
-        ]
-        if omit:
-            for rec_d in records:
-                for key in omit:
-                    if rec_d[key] is None:
-                        del rec_d[key]
+    for name in _TRACE_RECORD_FIELDS:
+        records = trace.unread_records(name)
+        if records is None:
+            records = _encode_records(name, getattr(trace, name))
         out[name] = records
     return out
 
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:
-    """Rebuild a :class:`Trace` from :func:`trace_to_dict` output."""
+    """Rebuild a :class:`Trace` from :func:`trace_to_dict` output.
+
+    Every record list is checked here, so a malformed one fails the
+    decode, but a list's record objects are built the first time it is
+    read (see :meth:`Trace.defer_records`).
+    """
     trace = Trace(enabled=data["enabled"])
     trace.tasks_executed = data["tasks_executed"]
     trace.reconfig_count = data["reconfig_count"]
@@ -153,8 +191,13 @@ def trace_from_dict(data: dict[str, Any]) -> Trace:
     trace.total_reconfig_latency_ns = data["total_reconfig_latency_ns"]
     trace.total_lock_wait_ns = data["total_lock_wait_ns"]
     trace.max_lock_wait_ns = data["max_lock_wait_ns"]
-    for name, rec_type in _TRACE_RECORD_TYPES.items():
-        getattr(trace, name).extend(rec_type(**d) for d in data[name])
+    parsed: dict[str, list[dict[str, Any]]] = {}
+    for name in _TRACE_RECORD_TYPES:
+        records = _checked_records(name, data[name])
+        if records:
+            parsed[name] = records
+    if parsed:
+        trace.defer_records(parsed)
     return trace
 
 

@@ -8,12 +8,17 @@ contention statistics) is computed entirely from these records.
 Recording is cheap (append to lists) and can be disabled wholesale for the
 large benchmark sweeps by constructing ``Trace(enabled=False)`` — counters
 stay live either way because the harness always needs them.
+
+A trace decoded from JSON (:func:`repro.sim.serialize.trace_from_dict`)
+keeps its record lists as the parsed dicts and builds a list's record
+objects the first time that list is read: a cached result whose records
+nobody reads never pays for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 __all__ = [
     "TaskSpan",
@@ -21,6 +26,7 @@ __all__ = [
     "LockWaitRecord",
     "CStateRecord",
     "FreqChangeRecord",
+    "RECORD_TYPES",
     "Trace",
 ]
 
@@ -107,6 +113,16 @@ class FreqChangeRecord:
     new_level: str
 
 
+#: Trace record lists and the dataclass each element is.
+RECORD_TYPES: dict[str, type] = {
+    "task_spans": TaskSpan,
+    "reconfigs": ReconfigRecord,
+    "lock_waits": LockWaitRecord,
+    "cstate_changes": CStateRecord,
+    "freq_changes": FreqChangeRecord,
+}
+
+
 @dataclass
 class Trace:
     """Collects execution records and running counters."""
@@ -124,6 +140,42 @@ class Trace:
     total_reconfig_latency_ns: float = 0.0
     total_lock_wait_ns: float = 0.0
     max_lock_wait_ns: float = 0.0
+
+    # ------------------------------------------------------ decoded traces
+    def defer_records(self, parsed: dict[str, list[dict[str, Any]]]) -> None:
+        """Hold the named record lists as parsed dicts until first read.
+
+        Each dict must carry exactly the keys its record type's encoder
+        emits (the decoder checks this).  The lists and dicts are shared
+        with ``parsed``, not copied, and are never mutated.
+        """
+        for name in parsed:
+            del self.__dict__[name]
+        self.__dict__["_parsed"] = parsed
+
+    def unread_records(self, name: str) -> Optional[list[dict[str, Any]]]:
+        """The parsed dicts of record list ``name`` while nobody has read
+        it; ``None`` once it is built (or was never deferred)."""
+        if name in self.__dict__:
+            return None
+        return self.__dict__.get("_parsed", {}).get(name)
+
+    def __getattr__(self, name: str) -> Any:
+        # Runs only for attributes missing from the instance: the record
+        # lists held back by defer_records.  It reads self.__dict__, never
+        # self._parsed, so a half-built instance (as unpickling makes one)
+        # raises AttributeError instead of recursing.
+        parsed = self.__dict__.get("_parsed")
+        if parsed is None or name not in parsed:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        records = [RECORD_TYPES[name](**d) for d in parsed[name]]
+        # setdefault: readers racing on the first read share one list.
+        records = self.__dict__.setdefault(name, records)
+        # Replaced, not mutated: a shallow copy may share the old mapping.
+        self.__dict__["_parsed"] = {k: v for k, v in parsed.items() if k != name}
+        return records
 
     # ----------------------------------------------------------- recording
     def record_task(self, span: TaskSpan) -> None:

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 
@@ -228,6 +229,41 @@ class TestJournal:
     def test_missing_file_is_empty(self, tmp_path):
         j = SweepJournal(str(tmp_path / "nope" / "journal.jsonl"))
         assert j.completed == set()
+
+    def test_concurrent_records_append_each_key_once(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        journal = SweepJournal(path)
+        keys = [f"k{i:03d}" for i in range(40)]
+
+        def record_all():
+            for key in keys:
+                journal.record(key, key, 0.1)
+
+        threads = [threading.Thread(target=record_all) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        journal.close()
+        with open(path, encoding="utf-8") as fh:
+            written = [json.loads(line)["key"] for line in fh]
+        assert sorted(written) == keys
+        assert journal.recorded == len(keys)
+
+    def test_closed_journal_drops_late_records(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        journal = SweepJournal(path)
+        journal.record("k1", "cell one", 1.0)
+        journal.close()
+        journal.record("k2", "late cell", 1.0)
+        assert journal.recorded == 1
+        assert SweepJournal(path).completed == {"k1"}
 
 
 class TestRetryPolicy:

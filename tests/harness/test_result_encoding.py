@@ -7,21 +7,28 @@ per record, the same ``sort_keys`` JSON — because cell fingerprints, the
 golden traces and every on-disk cache entry are hashes of those bytes.
 The reference encoder lives here, in the test, so it cannot drift with
 the code it checks.
+
+A cached result's trace records stay parsed dicts until a list is read,
+and an unread list re-encodes from those dicts: the same reference bytes
+must come back whether no list, one list or every list was read.
 """
 
 import dataclasses
 import hashlib
 import json
 import pathlib
+import pickle
 import sys
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import QUARANTINE_DIR, ResultCache
 from repro.harness.executor import CellSpec, simulate_cell
+from repro.harness.runner import GridRunner
 from repro.sim.serialize import (
     _TRACE_RECORD_TYPES,
     dump_result,
+    load_result,
     result_to_dict,
     trace_to_dict,
 )
@@ -163,3 +170,134 @@ class TestWritePath:
         written = (tmp_path / "cd" / f"{key}.json").read_bytes()
         assert hashlib.sha256(written).hexdigest() == golden["sha256"]
         assert fingerprint(result) == golden["sha256"]
+
+
+#: Which record lists a test reads before re-encoding a decoded result.
+READS = {
+    "unread": (),
+    "one_list": ("task_spans",),
+    "all_lists": tuple(_TRACE_RECORD_TYPES),
+}
+
+
+def _cached_copy(result, tmp_path):
+    """``result`` written to a fresh cache and read back, as a warm sweep
+    reads it."""
+    key = "ef" + "0" * 62
+    ResultCache(str(tmp_path)).put(key, result)
+    return ResultCache(str(tmp_path)).get(key)
+
+
+def _encode(result) -> str:
+    return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+@pytest.fixture
+def record_inits(monkeypatch):
+    """Calls to each record type's ``__init__``, by record list name."""
+    counts = dict.fromkeys(_TRACE_RECORD_TYPES, 0)
+
+    def counting(name, init):
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for name, rec_type in _TRACE_RECORD_TYPES.items():
+        monkeypatch.setattr(rec_type, "__init__", counting(name, rec_type.__init__))
+    return counts
+
+
+@pytest.fixture(scope="module")
+def golden_cells():
+    """Golden cell -> (its eager result, its committed SHA-256)."""
+    golden = json.loads(GOLDEN_PATH.read_text())["cells"]
+    return {
+        cell: (run_cell(*cell.split("/")), entry["sha256"])
+        for cell, entry in golden.items()
+    }
+
+
+class TestDeferredDecode:
+    def test_warm_get_builds_records_only_when_a_list_is_read(
+        self, golden_cells, record_inits, tmp_path
+    ):
+        eager, _ = golden_cells["bodytrack/cata"]
+        key = "aa" + "0" * 62
+        ResultCache(str(tmp_path)).put(key, eager)
+        cached = ResultCache(str(tmp_path)).get(key)
+        assert record_inits == dict.fromkeys(_TRACE_RECORD_TYPES, 0)
+        spans = cached.trace.task_spans
+        assert record_inits == dict(
+            dict.fromkeys(_TRACE_RECORD_TYPES, 0), task_spans=len(spans)
+        )
+        assert spans == eager.trace.task_spans
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_golden_cells_reencode_to_golden_fingerprint(
+        self, golden_cells, read, tmp_path
+    ):
+        for cell, (eager, sha256) in golden_cells.items():
+            cached = _cached_copy(eager, tmp_path / cell.replace("/", "-"))
+            for name in READS[read]:
+                getattr(cached.trace, name)
+            digest = hashlib.sha256(_encode(cached).encode("utf-8")).hexdigest()
+            assert digest == sha256, cell
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_decoded_cell_reencodes_to_reference_bytes(self, result, read, tmp_path):
+        cached = _cached_copy(result, tmp_path)
+        for name in READS[read]:
+            getattr(cached.trace, name)
+        assert _encode(cached) == reference_result_json(result)
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_decoded_result_survives_pickle(self, result, read, tmp_path):
+        cached = _cached_copy(result, tmp_path)
+        for name in READS[read]:
+            getattr(cached.trace, name)
+        again = pickle.loads(pickle.dumps(cached))
+        assert again == result
+        assert _encode(again) == reference_result_json(result)
+
+    def test_load_result_defers_records_too(self, result, tmp_path):
+        path = tmp_path / "result.json"
+        dump_result(result, str(path))
+        loaded = load_result(str(path))
+        assert all(
+            loaded.trace.unread_records(name) is not None
+            for name in _TRACE_RECORD_TYPES
+        )
+        assert loaded == result
+
+
+#: Ways a cache entry's trace records can be malformed; each one made
+#: building the records raise, so each must still fail the decode.
+MALFORMED = {
+    "missing_field": lambda t: t["task_spans"][0].pop("core_id"),
+    "unknown_field": lambda t: t["task_spans"][-1].update(colour="red"),
+    "record_not_object": lambda t: t["task_spans"].__setitem__(0, "oops"),
+    "list_of_strings": lambda t: t.update(task_spans=["a", "b"]),
+    "not_a_list": lambda t: t.update(task_spans={}),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("how", sorted(MALFORMED))
+    def test_entry_is_quarantined_and_resimulated(self, how, tmp_path):
+        kw = dict(scale=0.05, seeds=[1], trace_enabled=True, cache_dir=str(tmp_path))
+        first = GridRunner(**kw).run_one("swaptions", "cata", 8, 1)
+        [entry] = tmp_path.glob("??/*.json")
+        data = json.loads(entry.read_text())
+        MALFORMED[how](data["trace"])
+        entry.write_text(json.dumps(data, sort_keys=True))
+
+        runner = GridRunner(**kw)
+        again = runner.run_one("swaptions", "cata", 8, 1)
+        assert runner.executor.cache.corrupt_evictions == 1
+        assert runner.executor.stats.simulated == 1
+        assert (tmp_path / QUARANTINE_DIR / entry.name).exists()
+        assert _encode(again) == _encode(first)
+        # The re-simulated cell was written back intact.
+        assert entry.read_text() == _encode(first)

@@ -76,12 +76,43 @@ class TestDrainUnderLoad:
         svc.submit(_grid(policies=("fifo",)))
         svc.start()
         assert cells.wait_for("entered", timeout_s=30.0)
+        journal = svc.journal
+        journal.record("k" * 64, "earlier cell", 0.5)
         with pytest.raises(ServiceShutdownError, match="failed to stop"):
             svc.stop(timeout_s=0.2)
         assert "failed to stop" in capsys.readouterr().err
+        # The journal is closed on the stuck path too.
+        assert journal._fh is None
         # The missed deadline killed the worker wedged in the cell.
         assert cells.wait_gone([int(cells.read("entered"))])
         cells.touch("release")
+
+
+class TestRetiredJournal:
+    def test_rebuild_closes_the_retired_journal_for_good(self, tmp_path):
+        svc = SweepService(str(tmp_path / "state"), jobs=1)
+        svc.start()
+        retired = svc.journal
+        try:
+            retired.record("a" * 64, "cell a", 0.5)
+            assert retired._fh is not None
+            with svc._cond:
+                svc._rebuild_worker_locked("test")
+            assert svc.journal is not retired
+            # The rebuild closed the retired handle instead of leaking it.
+            assert retired._fh is None
+        finally:
+            svc.stop()
+        assert svc.journal._fh is None
+        with open(retired.path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        # The abandoned worker thread finishing a cell late: the closed
+        # journal drops the line instead of reopening the file.
+        retired.record("b" * 64, "late cell", 0.5)
+        assert retired._fh is None
+        with open(retired.path, encoding="utf-8") as fh:
+            assert fh.readlines() == lines
+        assert len(lines) == 1
 
 
 class TestWatchdog:

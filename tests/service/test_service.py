@@ -11,13 +11,14 @@ import os
 
 import pytest
 
-from repro.harness.executor import SweepExecutor, simulate_cell
+from repro.harness.executor import CellSpec, SweepExecutor, simulate_cell
 from repro.service.protocol import (
     ProtocolError,
     expand_submit,
     result_fingerprint,
 )
 from repro.service.server import SweepService
+from repro.sim.serialize import result_to_dict
 from tests import cells
 
 SCALE = 0.05
@@ -348,6 +349,39 @@ class TestRestartResume:
         assert len(entries[0]["cells"]) == 2
 
 
+class TestTracedCells:
+    def test_traced_cell_served_as_the_cli_path_across_restart(self, tmp_path):
+        state = str(tmp_path / "state")
+        spec = CellSpec("swaptions", "cata", 8, 1, SCALE, trace_enabled=True)
+        reference, _ = simulate_cell(spec)
+        assert reference.trace.task_spans
+        want_fingerprint = result_fingerprint(reference)
+        want_result = json.dumps(result_to_dict(reference), sort_keys=True)
+        body = {"client": "tracer", "cells": [_cell("cata", 1) | {"trace": True}]}
+
+        life1 = SweepService(state, jobs=1)
+        life1.start()
+        try:
+            receipt = life1.submit(body)
+            _wait_done(life1, receipt["job"])
+            first = life1.fetch(receipt["job"])
+        finally:
+            life1.stop()
+        # A fresh daemon on the same state directory decodes the cell
+        # from the cache it never wrote.
+        life2 = SweepService(state, jobs=1)
+        try:
+            second = life2.fetch(receipt["job"])
+        finally:
+            life2.stop()
+        for served in (first, second):
+            [item] = served["results"]
+            assert item["cell"]["trace"] is True
+            assert item["fingerprint"] == want_fingerprint
+            assert json.dumps(item["result"], sort_keys=True) == want_result
+        assert second["results"][0]["from_cache"] is True
+
+
 def _cell(policy, seed):
     return {
         "workload": "swaptions", "policy": policy, "fast": 8,
@@ -356,8 +390,6 @@ def _cell(policy, seed):
 
 
 def _specs_of_grid(policies):
-    from repro.harness.executor import CellSpec
-
     return [
         CellSpec(workload="swaptions", policy=p, fast=8, seed=1, scale=SCALE)
         for p in policies

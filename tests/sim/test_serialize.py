@@ -1,5 +1,6 @@
 """Tests for machine-configuration and run-result serialization."""
 
+import copy
 import json
 from dataclasses import replace
 
@@ -17,7 +18,15 @@ from repro.sim.serialize import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.sim.trace import TaskSpan, Trace
+from repro.sim.trace import (
+    RECORD_TYPES,
+    CStateRecord,
+    FreqChangeRecord,
+    LockWaitRecord,
+    ReconfigRecord,
+    TaskSpan,
+    Trace,
+)
 from repro.workloads import build_program
 
 
@@ -142,3 +151,132 @@ class TestRunResultLatencyFields:
         data["latency_p42_ns"] = 1.0
         with pytest.raises(TypeError):
             result_from_dict(data)
+
+
+def _full_trace():
+    """A trace with two records in every list, one span with a tenant."""
+    trace = Trace(enabled=True)
+    for i in range(2):
+        trace.record_task(_span(tenant=None if i == 0 else 5))
+        trace.record_reconfig(ReconfigRecord(
+            initiator_core=i, start_ns=1.0, end_ns=4.5, accelerated_core=i,
+            decelerated_core=None, mechanism="software", lock_wait_ns=0.25 * i,
+        ))
+        trace.record_lock_wait(LockWaitRecord(
+            lock_name="dvfs", core_id=i, request_ns=1.0, grant_ns=2.0,
+            release_ns=3.5,
+        ))
+        trace.record_cstate(CStateRecord(
+            core_id=i, time_ns=7.0, old_state="C0", new_state="C1",
+        ))
+        trace.record_freq_change(FreqChangeRecord(
+            core_id=i, time_ns=9.0, old_level="slow", new_level="fast",
+        ))
+    return trace
+
+
+def _parsed(trace):
+    """What a cache read hands the decoder: the trace's JSON, parsed."""
+    return json.loads(json.dumps(trace_to_dict(trace), sort_keys=True))
+
+
+class TestDeferredRecords:
+    def test_decode_defers_every_non_empty_list(self):
+        again = trace_from_dict(_parsed(_full_trace()))
+        for name in RECORD_TYPES:
+            assert name not in vars(again)
+            assert again.unread_records(name) is not None
+
+    def test_empty_lists_are_not_deferred(self):
+        again = trace_from_dict(_parsed(Trace(enabled=False)))
+        assert "_parsed" not in vars(again)
+        assert again.task_spans == []
+
+    def test_reading_a_list_builds_only_that_list(self):
+        eager = _full_trace()
+        again = trace_from_dict(_parsed(eager))
+        spans = again.task_spans
+        assert spans == eager.task_spans
+        assert all(type(s) is TaskSpan for s in spans)
+        assert again.task_spans is spans
+        assert again.unread_records("task_spans") is None
+        assert again.unread_records("reconfigs") is not None
+
+    def test_equality_and_repr_match_the_eager_trace(self):
+        eager = _full_trace()
+        assert trace_from_dict(_parsed(eager)) == eager
+        assert repr(trace_from_dict(_parsed(eager))) == repr(eager)
+
+    def test_recording_appends_after_the_decoded_records(self):
+        eager = _full_trace()
+        again = trace_from_dict(_parsed(eager))
+        extra = _span(tenant=9)
+        again.record_task(extra)
+        eager.record_task(extra)
+        assert again == eager
+        assert again.task_spans[-1] is extra
+
+    def test_half_built_instance_raises_attribute_error(self):
+        bare = Trace.__new__(Trace)  # what unpickling starts from
+        with pytest.raises(AttributeError):
+            bare.task_spans
+        assert not hasattr(bare, "__setstate__")
+
+    def test_shallow_copy_reads_independently(self):
+        eager = _full_trace()
+        again = trace_from_dict(_parsed(eager))
+        twin = copy.copy(again)
+        assert twin.task_spans == eager.task_spans
+        assert again.unread_records("task_spans") is not None
+        assert again.task_spans == eager.task_spans
+
+
+class TestRecordShapeCheck:
+    """The decode rejects what building the records would reject."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_TYPES))
+    def test_missing_required_field_rejected(self, name):
+        data = _parsed(_full_trace())
+        field = next(iter(data[name][0]))
+        del data[name][0][field]
+        with pytest.raises(TypeError):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_TYPES))
+    def test_unknown_field_rejected(self, name):
+        data = _parsed(_full_trace())
+        data[name][1]["colour"] = "red"
+        with pytest.raises(TypeError):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("bad", ["oops", 3, None, ["a", 1]])
+    def test_non_object_record_rejected(self, bad):
+        data = _parsed(_full_trace())
+        data["lock_waits"][0] = bad
+        with pytest.raises(TypeError):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [{}, "", "spans", None, 0])
+    def test_non_list_rejected(self, bad):
+        data = _parsed(_full_trace())
+        data["task_spans"] = bad
+        with pytest.raises(TypeError):
+            trace_from_dict(data)
+
+    def test_defaulted_fields_may_be_absent_and_reencode_as_eager(self):
+        eager = _full_trace()
+        data = _parsed(eager)
+        # Older encoders may omit lock_wait_ns or write tenant as null;
+        # building the records accepts both.
+        for rec in data["reconfigs"]:
+            if rec["lock_wait_ns"] == 0.0:
+                del rec["lock_wait_ns"]
+        data["task_spans"][0]["tenant"] = None
+        before = json.dumps(data, sort_keys=True)
+        again = trace_from_dict(data)
+        assert json.dumps(trace_to_dict(again), sort_keys=True) == json.dumps(
+            trace_to_dict(eager), sort_keys=True
+        )
+        assert again == eager
+        # The decoder normalizes a copy; its input is left as it was.
+        assert json.dumps(data, sort_keys=True) == before
