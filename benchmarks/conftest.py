@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import pathlib
 import sys
+from typing import Iterator
 
 import pytest
 
@@ -33,19 +34,21 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 
 
 @pytest.fixture(scope="session")
-def paper_runner() -> GridRunner:
-    return GridRunner(
+def paper_runner() -> Iterator[GridRunner]:
+    with GridRunner(
         scale=1.0, seeds=PAPER_SEEDS, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE
-    )
+    ) as runner:
+        yield runner
 
 
 @pytest.fixture(scope="session")
-def traced_runner() -> GridRunner:
+def traced_runner() -> Iterator[GridRunner]:
     """Single-seed runner with tracing for the Section V-C statistics."""
-    return GridRunner(
+    with GridRunner(
         scale=1.0, seeds=(1,), trace_enabled=True,
         jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
-    )
+    ) as runner:
+        yield runner
 
 
 def emit(name: str, text: str) -> None:

@@ -1,9 +1,9 @@
-"""Kernel-parity rules (``PAR4xx``): the C/Python backend contract.
+"""Kernel-parity rules (``PAR4xx``): the C ↔ Python-caller contract.
 
-:mod:`repro.sim._ckernels` embeds C source for the two hot kernels and
-promises bit-identical results to the pure-Python fallbacks in
-``arrays.py`` / ``energy.py``.  That contract lives in *three* places
-that nothing ties together at runtime:
+:mod:`repro.sim._ckernels` embeds C source for the two hot kernels,
+which read and write buffers owned by their Python callers in
+``arrays.py`` / ``energy.py``.  That ABI lives in *three* places that
+nothing ties together at runtime:
 
 * the C function definitions inside ``_C_SOURCE``;
 * the cffi ``_CDEF`` declarations and the ctypes binding table;
@@ -12,7 +12,7 @@ that nothing ties together at runtime:
   call-site arities, and duplicated numeric constants (``SEC``).
 
 A one-sided edit to any of them compiles fine and silently breaks the
-byte-identity guarantee.  These rules parse the embedded C (a small
+byte-identity guarantee against the object-walk reference.  These rules parse the embedded C (a small
 comment-stripping + regex pass — the kernels are deliberately plain C)
 and the sibling Python modules, then cross-check:
 
@@ -44,7 +44,7 @@ __all__ = ["analyze_parity", "ParityIssue", "load_sibling_sources"]
 #: The kernel module these rules anchor on.
 KERNEL_BASENAME = "_ckernels.py"
 
-#: Python fallback/caller modules read from the kernel module's directory.
+#: Python caller modules read from the kernel module's directory.
 SIBLING_BASENAMES = ("arrays.py", "energy.py", "engine.py")
 
 #: C type name -> element width in bytes (the subset the kernels use).
@@ -585,7 +585,7 @@ def _check_constants(
 
 # --------------------------------------------------------------------- rules
 def load_sibling_sources(kernel_path: str) -> dict[str, str]:
-    """Read the Python fallback modules next to ``kernel_path``."""
+    """Read the Python caller modules next to ``kernel_path``."""
     directory = os.path.dirname(os.path.abspath(kernel_path))
     sources: dict[str, str] = {}
     for basename in SIBLING_BASENAMES:
@@ -627,9 +627,9 @@ class SymbolParityRule(_ParityRule):
     name = "kernel-symbol-parity"
     description = (
         "functions defined in the embedded C source, declared in _CDEF, "
-        "bound in the ctypes table, and referenced from the Python kernel "
+        "bound in the ctypes table, and called from the Python kernel "
         "layer must be the same set — a rename in one place silently "
-        "drops a backend"
+        "breaks a binding"
     )
 
 

@@ -127,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(results are identical to --jobs 1)")
         p.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="persistent on-disk result cache directory")
-        p.add_argument("--batch-cells", type=positive_int, default=1,
-                       metavar="N",
-                       help="cells simulated back-to-back per worker task on "
-                       "shared kernel buffers; amortizes per-cell setup, "
-                       "results are identical to --batch-cells 1")
         p.add_argument("--verbose", action="store_true",
                        help="per-cell timing and cache hit/miss reporting")
 
@@ -555,7 +550,7 @@ def _retry_from_args(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    runner = GridRunner(
+    with GridRunner(
         scale=args.scale,
         seed=args.seed,
         jobs=args.jobs,
@@ -563,13 +558,12 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         verbose=args.verbose,
         faults=args.faults,
         retry=_retry_from_args(args),
-        batch_cells=args.batch_cells,
         arrivals=args.arrivals,
         tenants=args.tenants,
-    )
-    grid = runner.run_grid(
-        args.policies, workloads=[args.benchmark], fast_counts=args.budgets
-    )
+    ) as runner:
+        grid = runner.run_grid(
+            args.policies, workloads=[args.benchmark], fast_counts=args.budgets
+        )
     rows: list[list[object]] = []
     for budget in args.budgets:
         row: list[object] = [budget]
@@ -771,17 +765,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "sweep":
         print(_cmd_sweep(args))
     elif args.command in ("figure4", "figure5"):
-        runner = GridRunner(
+        fn = run_figure4 if args.command == "figure4" else run_figure5
+        with GridRunner(
             scale=args.scale,
             seeds=tuple(args.seeds),
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             verbose=args.verbose,
             retry=_retry_from_args(args),
-            batch_cells=args.batch_cells,
-        )
-        fn = run_figure4 if args.command == "figure4" else run_figure5
-        result = fn(runner, fast_counts=tuple(args.fast))
+        ) as runner:
+            result = fn(runner, fast_counts=tuple(args.fast))
         print(result.render())
         if result.stats is not None:
             print(result.stats.summary())
@@ -817,7 +810,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=args.cache_dir,
             verbose=args.verbose,
             retry=_retry_from_args(args),
-            batch_cells=args.batch_cells,
         )
         print(study.render())
         print(study.stats.summary())
@@ -845,7 +837,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             verbose=args.verbose,
-            batch_cells=args.batch_cells,
         )
         print(study.render())
         if args.csv:
@@ -869,8 +860,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     elif args.command == "section5c":
-        runner = GridRunner(scale=args.scale, trace_enabled=True)
-        print(render_section5c(run_section5c(runner, fast_cores=args.fast)))
+        with GridRunner(scale=args.scale, trace_enabled=True) as runner:
+            print(render_section5c(run_section5c(runner, fast_cores=args.fast)))
     elif args.command == "experiments":
         from .harness import list_experiments, run_experiment
 
@@ -885,7 +876,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(run_experiment(args.exp_id, scale=args.scale,
                                  seeds=tuple(args.seeds), jobs=args.jobs,
                                  cache_dir=args.cache_dir,
-                                 batch_cells=args.batch_cells,
                                  verbose=args.verbose))
     elif args.command == "characterize":
         stats = [

@@ -36,7 +36,6 @@ from ..runtime.worksteal import WorkStealingScheduler
 from ..runtime.program import Program
 from ..runtime.scheduler_base import Scheduler
 from ..runtime.system import RuntimeSystem
-from ..sim.arrays import KernelArena
 from ..sim.config import MachineConfig, default_machine
 from ..sim.faults import FaultPlan, parse_fault_spec
 from .cata import SoftwareCataManager
@@ -81,7 +80,6 @@ def build_system(
     bl_edge_budget: int = 64,
     sanitize: bool = False,
     faults: "str | FaultPlan | None" = None,
-    arena: "Optional[KernelArena]" = None,
     jobs=None,
     scenario_spec: Optional[str] = None,
 ) -> RuntimeSystem:
@@ -90,9 +88,7 @@ def build_system(
     ``faults`` accepts a spec string (``kind@time:cN`` clauses or
     ``chaos:intensity=...``; see :mod:`repro.sim.faults`), an already-parsed
     :class:`FaultPlan`, or ``None``/``"off"`` for a pristine machine.
-    ``arena`` donates reusable kernel buffers for multi-cell worker
-    sessions (see :mod:`repro.sim.arrays`); callers must ``reset()`` it
-    between cells.  ``jobs`` (a sequence of
+    ``jobs`` (a sequence of
     :class:`~repro.runtime.admission.AdmittedJob`) switches the system to
     open-loop arrival-timed admission; ``program`` is then only a label
     carrier (see :func:`run_scenario_policy`).
@@ -219,7 +215,6 @@ def build_system(
         policy_name=policy,
         sanitize=sanitize,
         faults=plan,
-        arena=arena,
         jobs=jobs,
         scenario_spec=scenario_spec,
     )
@@ -234,7 +229,6 @@ def run_policy(
     trace_enabled: bool = True,
     sanitize: bool = False,
     faults: "str | FaultPlan | None" = None,
-    arena: "Optional[KernelArena]" = None,
 ):
     """Build and run in one call; returns the :class:`RunResult`."""
     system = build_system(
@@ -246,7 +240,6 @@ def run_policy(
         trace_enabled=trace_enabled,
         sanitize=sanitize,
         faults=faults,
-        arena=arena,
     )
     return system.run()
 
@@ -261,7 +254,6 @@ def run_scenario_policy(
     trace_enabled: bool = True,
     sanitize: bool = False,
     faults: "str | FaultPlan | None" = None,
-    arena: "Optional[KernelArena]" = None,
 ):
     """Run an open-loop multi-tenant scenario under one policy.
 
@@ -289,7 +281,6 @@ def run_scenario_policy(
         trace_enabled=trace_enabled,
         sanitize=sanitize,
         faults=faults,
-        arena=arena,
         jobs=jobs,
         scenario_spec=scn.canonical(),
     )

@@ -149,7 +149,6 @@ def run_degradation(
     machine: Optional[MachineConfig] = None,
     verbose: bool = False,
     retry: Optional[RetryPolicy] = None,
-    batch_cells: int = 1,
 ) -> DegradationResult:
     """Run the two-phase degradation study (baselines, then chaos ladder)."""
     executor = SweepExecutor(
@@ -158,7 +157,6 @@ def run_degradation(
         machine=machine,
         verbose=verbose,
         retry=retry,
-        batch_cells=batch_cells,
     )
 
     def spec(workload: str, policy: str, faults: str) -> CellSpec:

@@ -51,7 +51,6 @@ Per-cell wall-clock timings and hit/miss/recovery counters accumulate in
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -67,8 +66,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..core.policies import run_policy, run_scenario_policy
 from ..runtime.system import RunResult
-from ..sim.arrays import KernelArena
-from ..sim.config import MachineConfig, default_machine
+from ..sim.config import MachineConfig
 from ..sim.serialize import machine_from_dict, machine_to_dict
 from ..workloads import build_program
 from .cache import ResultCache, cell_key
@@ -82,7 +80,6 @@ __all__ = [
     "SweepExecutor",
     "process_alive",
     "simulate_cell",
-    "simulate_cell_batch",
 ]
 
 
@@ -146,41 +143,17 @@ class CellSpec:
         )
 
 
-def _machine_fingerprint(machine_dict: Optional[dict[str, Any]]) -> str:
-    """Stable identity of a machine config for arena memo scoping."""
-    if machine_dict is None:
-        return "default-machine"
-    return json.dumps(machine_dict, sort_keys=True)
-
-
 def simulate_cell(
     spec: CellSpec,
     machine_dict: Optional[dict[str, Any]] = None,
-    arena: Optional[KernelArena] = None,
 ) -> tuple[RunResult, float]:
     """Simulate one cell; returns ``(result, sim_seconds)``.
 
     Module-level so it pickles into pool workers; the machine travels as a
-    plain dict for the same reason.  ``arena`` donates reusable kernel
-    buffers and machine-fingerprint-scoped memos for multi-cell worker
-    sessions (``--batch-cells``); it is reset here, before anything of the
-    previous cell can leak, so a batched cell is bitwise-identical to a
-    fresh-process run.
+    plain dict for the same reason.
     """
     t0 = time.perf_counter()
-    if arena is not None:
-        fingerprint = _machine_fingerprint(machine_dict)
-        arena.reset(fingerprint)
-        machine = arena.machine_cache.get(fingerprint)
-        if machine is None:
-            machine = (
-                machine_from_dict(machine_dict)
-                if machine_dict is not None
-                else default_machine()
-            )
-            arena.machine_cache[fingerprint] = machine
-    else:
-        machine = machine_from_dict(machine_dict) if machine_dict is not None else None
+    machine = machine_from_dict(machine_dict) if machine_dict is not None else None
     if spec.scenario != "off":
         result = run_scenario_policy(
             spec.scenario,
@@ -191,7 +164,6 @@ def simulate_cell(
             scale=spec.scale,
             trace_enabled=spec.trace_enabled,
             faults=spec.faults,
-            arena=arena,
         )
         return result, time.perf_counter() - t0
     program = build_program(
@@ -205,43 +177,8 @@ def simulate_cell(
         seed=spec.seed,
         trace_enabled=spec.trace_enabled,
         faults=spec.faults,
-        arena=arena,
     )
     return result, time.perf_counter() - t0
-
-
-#: Per-worker-process arena, created on first batched chunk and reused for
-#: every later chunk the pool sends this worker — the whole point of
-#: ``--batch-cells`` is that buffer allocation, kernel loading and machine
-#: parsing happen once per worker instead of once per cell.
-_WORKER_ARENA: Optional[KernelArena] = None
-
-
-def _worker_arena() -> KernelArena:
-    global _WORKER_ARENA
-    if _WORKER_ARENA is None:
-        _WORKER_ARENA = KernelArena()
-    return _WORKER_ARENA
-
-
-def simulate_cell_batch(
-    specs: Sequence[CellSpec],
-    machine_dict: Optional[dict[str, Any]] = None,
-    cell_fn: Callable[..., tuple[RunResult, float]] = simulate_cell,
-) -> list[tuple[RunResult, float]]:
-    """Simulate several cells back-to-back in one worker process.
-
-    The cells share the process-level :class:`KernelArena` (when running
-    the real ``simulate_cell``; an injected ``cell_fn`` — the chaos tests'
-    crashing/hanging cells — keeps its plain two-argument signature and
-    gets no arena).  Results are bitwise-identical to one-process-per-cell
-    execution: the arena is reset between cells and its shared memos are
-    value-keyed and machine-fingerprint-scoped.
-    """
-    if cell_fn is simulate_cell:
-        arena = _worker_arena()
-        return [simulate_cell(spec, machine_dict, arena=arena) for spec in specs]
-    return [cell_fn(spec, machine_dict) for spec in specs]
 
 
 def _init_worker(ignore_sigint: bool) -> None:
@@ -355,8 +292,6 @@ class SweepStats:
     pool_crashes: int = 0
     #: Cells that ran inline after the executor degraded.
     inline_cells: int = 0
-    #: Cells simulated inside a multi-cell arena session (``--batch-cells``).
-    batched_cells: int = 0
     #: Corrupt cache entries moved to quarantine during this batch.
     quarantined: int = 0
     #: Cache writes that failed (cache degraded to read-only).
@@ -382,7 +317,6 @@ class SweepStats:
         self.timeouts += other.timeouts
         self.pool_crashes += other.pool_crashes
         self.inline_cells += other.inline_cells
-        self.batched_cells += other.batched_cells
         self.quarantined += other.quarantined
         self.cache_write_failures += other.cache_write_failures
         self.timings.extend(other.timings)
@@ -406,7 +340,6 @@ class SweepStats:
             ("timeouts", self.timeouts),
             ("pool crashes", self.pool_crashes),
             ("inline cells", self.inline_cells),
-            ("batched cells", self.batched_cells),
             ("quarantined", self.quarantined),
             ("cache write failures", self.cache_write_failures),
         ):
@@ -417,12 +350,11 @@ class SweepStats:
 
 @dataclass
 class _Flight:
-    """Bookkeeping for one in-flight pool future (one cell or one chunk)."""
+    """Bookkeeping for one in-flight pool future (one cell)."""
 
-    #: Original positions of this flight's cells in the specs sequence
-    #: (length 1 for singles, ``batch_cells`` for a full chunk).
-    indices: tuple[int, ...]
-    specs: tuple[CellSpec, ...]
+    #: The cell's position in the specs sequence.
+    index: int
+    spec: CellSpec
     attempt: int
     #: Submission sequence number; the pool dispatches FIFO, so at any
     #: instant the ``workers`` lowest-seq in-flight futures are the ones
@@ -431,13 +363,7 @@ class _Flight:
     #: Wall-clock deadline, armed at *dispatch* (when the flight becomes
     #: one of the ``workers`` oldest in flight), not at submit — a cell
     #: queued behind busy workers must not burn budget before it starts.
-    #: A chunk's budget is ``cell_timeout_s`` per cell it carries.
     deadline: Optional[float] = None
-
-    def label(self) -> str:
-        if len(self.specs) == 1:
-            return self.specs[0].label()
-        return f"chunk[{self.specs[0].label()} … +{len(self.specs) - 1}]"
 
 
 class SweepExecutor:
@@ -458,21 +384,11 @@ class SweepExecutor:
         on_cell_complete: Optional[
             Callable[[CellSpec, str, RunResult, float, bool], None]
         ] = None,
-        batch_cells: int = 1,
         isolate: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if batch_cells < 1:
-            raise ValueError(f"batch_cells must be >= 1, got {batch_cells}")
         self.jobs = jobs
-        #: Cells per worker dispatch: one pool task simulates this many
-        #: cells back-to-back on the worker's shared arena, amortizing
-        #: buffer allocation / kernel loading / machine parsing across the
-        #: chunk.  1 keeps the historical one-task-per-cell dispatch.
-        self.batch_cells = batch_cells
-        #: Lazily-built arena for inline multi-cell sessions (jobs=1).
-        self._arena: Optional[KernelArena] = None
         self.cache = cache
         self.machine = machine
         self.verbose = verbose
@@ -632,30 +548,13 @@ class SweepExecutor:
         if not self.isolate and (
             self.jobs == 1 or len(specs) == 1 or self._degraded
         ):
-            arena = self._inline_arena()
             for index, spec in enumerate(specs):
                 outcome = self._run_inline(
-                    spec, machine_dict, batch,
-                    degraded=self._degraded, arena=arena,
+                    spec, machine_dict, batch, degraded=self._degraded
                 )
-                if arena is not None:
-                    batch.batched_cells += 1
                 checkpoint(index, outcome)
             return
         self._run_pool(specs, machine_dict, batch, checkpoint)
-
-    def _inline_arena(self) -> Optional[KernelArena]:
-        """The executor-lifetime arena for inline multi-cell sessions.
-
-        Only used with ``batch_cells > 1`` and the real ``simulate_cell``
-        (injected chaos ``cell_fn``s keep their two-argument signature),
-        so ``batch_cells=1`` preserves historical inline behavior exactly.
-        """
-        if self.batch_cells <= 1 or self.cell_fn is not simulate_cell:
-            return None
-        if self._arena is None:
-            self._arena = KernelArena()
-        return self._arena
 
     @property
     def _degraded(self) -> bool:
@@ -672,7 +571,6 @@ class SweepExecutor:
         machine_dict: Optional[dict[str, Any]],
         batch: SweepStats,
         degraded: bool = False,
-        arena: Optional[KernelArena] = None,
     ) -> tuple[RunResult, float]:
         """Run one cell in-process with exception retries (no timeout —
         a wall-clock limit cannot preempt our own process)."""
@@ -682,8 +580,6 @@ class SweepExecutor:
             batch.inline_cells += 1
         while True:
             try:
-                if arena is not None:
-                    return self.cell_fn(spec, machine_dict, arena=arena)
                 return self.cell_fn(spec, machine_dict)
             except _NON_RETRYABLE:
                 raise
@@ -760,48 +656,27 @@ class SweepExecutor:
     ) -> None:
         """Resolve cells through a self-healing process pool.
 
-        The work queue holds ``(indices, specs, attempt)`` flights — one
-        cell each with ``batch_cells=1``, chunks of consecutive cells
-        otherwise; completed indices leave it permanently (each one
-        checkpointed as its flight returns), so a pool rebuild
-        re-dispatches only the cells that were genuinely lost.
-        Any chunk that fails, crashes its worker, or exceeds its (per-cell
-        scaled) deadline is *decomposed* into single-cell flights so that
-        retries isolate the culprit and error surfacing matches unbatched
-        execution exactly.
+        The work queue holds ``(index, attempt)`` flights, one cell each;
+        a cell leaves it for good once its result is checkpointed, so a
+        pool rebuild re-dispatches only the cells that were genuinely
+        lost.
         """
         policy = self.retry
-        size = max(1, self.batch_cells)
-        finished: set[int] = set()
-        queue: deque[tuple[tuple[int, ...], tuple[CellSpec, ...], int]] = deque(
-            (
-                tuple(range(i, min(i + size, len(specs)))),
-                tuple(specs[i : i + size]),
-                1,
-            )
-            for i in range(0, len(specs), size)
+        queue: deque[tuple[int, int]] = deque(
+            (index, 1) for index in range(len(specs))
         )
         workers = self.jobs if self.isolate else min(self.jobs, len(queue))
         pool: Optional[ProcessPoolExecutor] = self._acquire_pool(workers)
         inflight: dict[Future, _Flight] = {}
         next_seq = 0
 
-        def finish(index: int, outcome: tuple[RunResult, float]) -> None:
-            finished.add(index)
-            checkpoint(index, outcome)
-
         def submit_ready() -> None:
             nonlocal next_seq
             assert pool is not None
             while queue and len(inflight) < 2 * workers:
-                indices, chunk, attempt = queue.popleft()
-                if len(chunk) == 1:
-                    fut = pool.submit(self.cell_fn, chunk[0], machine_dict)
-                else:
-                    fut = pool.submit(
-                        simulate_cell_batch, chunk, machine_dict, self.cell_fn
-                    )
-                inflight[fut] = _Flight(indices, chunk, attempt, next_seq)
+                index, attempt = queue.popleft()
+                fut = pool.submit(self.cell_fn, specs[index], machine_dict)
+                inflight[fut] = _Flight(index, specs[index], attempt, next_seq)
                 next_seq += 1
 
         def arm_deadlines() -> None:
@@ -821,46 +696,35 @@ class SweepExecutor:
             running = sorted(inflight.values(), key=lambda f: f.seq)[:workers]
             for flight in running:
                 if flight.deadline is None:
-                    flight.deadline = (
-                        now + policy.cell_timeout_s * len(flight.specs)
-                    )
-
-        def decompose(flight: _Flight, attempt: int) -> None:
-            """Re-queue a failed chunk as single-cell flights."""
-            for index, spec in zip(flight.indices, flight.specs):
-                if index not in finished:
-                    queue.append(((index,), (spec,), attempt))
+                    flight.deadline = now + policy.cell_timeout_s
 
         def requeue_inflight(overdue: set[Future], cause: str) -> None:
-            """Return lost in-flight work to the queue.
+            """Return lost in-flight cells to the queue.
 
-            Overdue (or crash-implicated) flights pay an attempt — and
-            chunks additionally decompose to singles, so the next attempt
-            isolates the hung/killing cell under its own deadline;
-            innocent bystanders of the same pool teardown retry for free
-            (chunks intact), with a fresh wall clock armed when the
-            rebuilt pool dispatches them.
+            Overdue (or crash-implicated) cells pay an attempt; innocent
+            bystanders of the same pool teardown retry for free, with a
+            fresh wall clock armed when the rebuilt pool dispatches them.
             """
             for fut, flight in sorted(
-                inflight.items(), key=lambda item: item[1].indices[0]
+                inflight.items(), key=lambda item: item[1].index
             ):
+                attempt = flight.attempt
                 if fut in overdue:
-                    if flight.attempt >= policy.max_attempts:
+                    if attempt >= policy.max_attempts:
                         if cause == "timeout":
                             raise TimeoutError(
-                                f"cell {flight.label()} exceeded "
+                                f"cell {flight.spec.label()} exceeded "
                                 f"{policy.cell_timeout_s}s wall-clock in each "
                                 f"of {policy.max_attempts} attempts"
                             )
                         raise CellFailedError(
-                            f"cell {flight.label()} was in flight during "
+                            f"cell {flight.spec.label()} was in flight during "
                             f"a worker-pool crash in each of "
                             f"{policy.max_attempts} attempts; the cell is "
                             "likely killing its workers (e.g. OOM)"
                         )
-                    decompose(flight, flight.attempt + 1)
-                else:
-                    queue.append((flight.indices, flight.specs, flight.attempt))
+                    attempt += 1
+                queue.append((flight.index, attempt))
             inflight.clear()
 
         def teardown_and_recover(overdue: set[Future], cause: str) -> None:
@@ -879,25 +743,19 @@ class SweepExecutor:
 
         def failed_first(fut: Future) -> tuple[bool, int]:
             failed = fut.cancelled() or fut.exception() is not None
-            return failed, inflight[fut].indices[0]
+            return failed, inflight[fut].index
 
         completed = False
         try:
             while queue or inflight:
                 if pool is None:
                     # Degraded: the pool kept dying — finish inline.
-                    arena = self._inline_arena()
                     while queue:
-                        indices, chunk, _ = queue.popleft()
-                        for index, spec in zip(indices, chunk):
-                            if index not in finished:
-                                outcome = self._run_inline(
-                                    spec, machine_dict, batch,
-                                    degraded=True, arena=arena,
-                                )
-                                if arena is not None:
-                                    batch.batched_cells += 1
-                                finish(index, outcome)
+                        index, _ = queue.popleft()
+                        outcome = self._run_inline(
+                            specs[index], machine_dict, batch, degraded=True
+                        )
+                        checkpoint(index, outcome)
                     break
                 submit_ready()
                 arm_deadlines()
@@ -925,12 +783,11 @@ class SweepExecutor:
                     if self.verbose:
                         for flight in sorted(
                             (inflight[fut] for fut in overdue),
-                            key=lambda f: f.indices[0],
+                            key=lambda f: f.index,
                         ):
-                            budget = policy.cell_timeout_s * len(flight.specs)
                             print(
-                                f"  timeout    {flight.label()} "
-                                f"after {budget}s",
+                                f"  timeout    {flight.spec.label()} "
+                                f"after {policy.cell_timeout_s}s",
                                 flush=True,
                             )
                     teardown_and_recover(overdue, "timeout")
@@ -952,43 +809,22 @@ class SweepExecutor:
                         inflight[fut] = flight
                         teardown_and_recover({fut}, "crash")
                         break
-                    except Exception as exc:
-                        if len(flight.specs) > 1:
-                            # A chunk failure names no culprit: decompose
-                            # at the *same* attempt so deterministic errors
-                            # re-raise from the single that owns them and
-                            # innocent chunk-mates aren't charged.
-                            if self.verbose:
-                                print(
-                                    f"  decompose  {flight.label()} after "
-                                    f"{type(exc).__name__}; retrying its "
-                                    f"{len(flight.specs)} cells singly",
-                                    flush=True,
-                                )
-                            decompose(flight, flight.attempt)
-                            continue
-                        if isinstance(exc, _NON_RETRYABLE):
-                            raise
+                    except _NON_RETRYABLE:
+                        raise
+                    except Exception:
                         if flight.attempt >= policy.max_attempts:
                             raise
                         batch.retries += 1
                         if self.verbose:
                             print(
-                                f"  retry      {flight.label()} (attempt "
+                                f"  retry      {flight.spec.label()} (attempt "
                                 f"{flight.attempt + 1}/{policy.max_attempts})",
                                 flush=True,
                             )
                         time.sleep(policy.backoff_s(flight.attempt, self._rng))
-                        queue.append(
-                            (flight.indices, flight.specs, flight.attempt + 1)
-                        )
+                        queue.append((flight.index, flight.attempt + 1))
                         continue
-                    if len(flight.specs) == 1:
-                        finish(flight.indices[0], out)
-                    else:
-                        batch.batched_cells += len(flight.specs)
-                        for index, cell_result in zip(flight.indices, out):
-                            finish(index, cell_result)
+                    checkpoint(flight.index, out)
             completed = True
         finally:
             if pool is not None and not self.isolate:

@@ -42,16 +42,16 @@ class RunContext:
     jobs: int = 1
     cache_dir: Optional[str] = None
     verbose: bool = False
-    batch_cells: int = 1
 
     def runner(self, **overrides) -> GridRunner:
+        """A runner for one experiment; use it as a context manager so
+        its worker pool and journal are released when the run ends."""
         kwargs = dict(
             scale=self.scale,
             seeds=self.seeds,
             jobs=self.jobs,
             cache_dir=self.cache_dir,
             verbose=self.verbose,
-            batch_cells=self.batch_cells,
         )
         kwargs.update(overrides)
         return GridRunner(**kwargs)
@@ -74,16 +74,18 @@ def _table1(ctx: RunContext) -> str:
 
 
 def _figure4(ctx: RunContext) -> str:
-    return run_figure4(ctx.runner()).render()
+    with ctx.runner() as runner:
+        return run_figure4(runner).render()
 
 
 def _figure5(ctx: RunContext) -> str:
-    return run_figure5(ctx.runner()).render()
+    with ctx.runner() as runner:
+        return run_figure5(runner).render()
 
 
 def _section5c(ctx: RunContext) -> str:
-    runner = ctx.runner(seeds=ctx.seeds[:1], trace_enabled=True)
-    return render_section5c(run_section5c(runner, fast_cores=16))
+    with ctx.runner(seeds=ctx.seeds[:1], trace_enabled=True) as runner:
+        return render_section5c(run_section5c(runner, fast_cores=16))
 
 
 def _rsu(ctx: RunContext) -> str:
@@ -91,7 +93,8 @@ def _rsu(ctx: RunContext) -> str:
 
 
 def _estimators(ctx: RunContext) -> str:
-    return run_estimator_study(ctx.runner()).render()
+    with ctx.runner() as runner:
+        return run_estimator_study(runner).render()
 
 
 def _degradation(ctx: RunContext) -> str:
@@ -101,7 +104,6 @@ def _degradation(ctx: RunContext) -> str:
         jobs=ctx.jobs,
         cache_dir=ctx.cache_dir,
         verbose=ctx.verbose,
-        batch_cells=ctx.batch_cells,
     ).render()
 
 
@@ -112,7 +114,6 @@ def _latency(ctx: RunContext) -> str:
         jobs=ctx.jobs,
         cache_dir=ctx.cache_dir,
         verbose=ctx.verbose,
-        batch_cells=ctx.batch_cells,
     ).render()
 
 
@@ -199,7 +200,6 @@ def run_experiment(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     verbose: bool = False,
-    batch_cells: int = 1,
 ) -> str:
     """Run one experiment by id and return its rendered artifact."""
     ctx = RunContext(
@@ -208,7 +208,6 @@ def run_experiment(
         jobs=jobs,
         cache_dir=cache_dir,
         verbose=verbose,
-        batch_cells=batch_cells,
     )
     for exp in EXPERIMENTS:
         if exp.exp_id == exp_id:

@@ -142,7 +142,6 @@ def run_latency(
     machine: Optional[MachineConfig] = None,
     verbose: bool = False,
     retry: Optional[RetryPolicy] = None,
-    batch_cells: int = 1,
 ) -> LatencyResult:
     """Run the tail-latency study; one parallel batch over all cells."""
     base = parse_scenario(tenants)
@@ -152,7 +151,6 @@ def run_latency(
         machine=machine,
         verbose=verbose,
         retry=retry,
-        batch_cells=batch_cells,
     )
     cells: dict[tuple[str, float], CellSpec] = {}
     for intensity in intensities:

@@ -104,7 +104,6 @@ class GridRunner:
         faults: str = "off",
         retry: Optional[RetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
-        batch_cells: int = 1,
         arrivals: Optional[str] = None,
         tenants: Optional[str] = None,
     ) -> None:
@@ -123,9 +122,7 @@ class GridRunner:
         (see :mod:`repro.sim.faults`); ``"off"`` keeps the machine
         pristine.  ``retry``/``cell_timeout_s`` tune crash recovery; a
         bare ``cell_timeout_s`` is shorthand for ``RetryPolicy`` with that
-        wall-clock limit.  ``batch_cells`` dispatches that many cells per
-        worker task, simulated back-to-back on shared kernel buffers
-        (bitwise-identical results; amortizes per-cell setup).
+        wall-clock limit.
 
         ``arrivals`` switches every cell to open-loop admission: each
         workload runs as a single tenant under that arrival spec (e.g.
@@ -176,7 +173,6 @@ class GridRunner:
                 if cache_dir is not None
                 else None
             ),
-            batch_cells=batch_cells,
         )
         #: In-memory memo: cell spec -> result.  A read-through layer over
         #: the executor's disk cache.  Keyed by the spec itself, not its
@@ -184,6 +180,19 @@ class GridRunner:
         #: holds the machine, so within one runner the spec alone
         #: identifies a cell and a memo lookup derives no cell key.
         self._cache: dict[CellSpec, RunResult] = {}
+
+    def close(self) -> None:
+        """Release the executor's worker pool and close the completion
+        journal.  The memo and the disk cache still answer afterwards."""
+        self.executor.close()
+        if self.executor.journal is not None:
+            self.executor.journal.close()
+
+    def __enter__(self) -> "GridRunner":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     @property
     def seed(self) -> int:
@@ -244,7 +253,6 @@ class GridRunner:
             timeouts=batch.timeouts,
             pool_crashes=batch.pool_crashes,
             inline_cells=batch.inline_cells,
-            batched_cells=batch.batched_cells,
             quarantined=batch.quarantined,
             cache_write_failures=batch.cache_write_failures,
             timings=list(batch.timings),

@@ -12,9 +12,8 @@ Micro scenarios stress exactly the paths the inner-loop work optimized:
   :class:`~repro.sim.engine.Simulator`;
 * ``cancel_churn`` — lazy cancellation plus periodic heap compaction;
 * ``tdg_relax`` — the bottom-level relaxation walk charged as the BL
-  estimator's overhead (the hottest function of dense-TDG runs);
-* ``tdg_relax_array`` — the same walk with the flat-array kernel layer
-  (:mod:`repro.sim.arrays`) forced on, whatever the environment toggle;
+  estimator's overhead (the hottest function of dense-TDG runs), on
+  whichever backend the environment toggle selects;
 * ``energy_sweep`` — power-state churn through the interval-batched
   energy accountant (append, replay sweep, finalize);
 * ``pipeline_e2e`` / ``pipeline_e2e_nokernels`` — one end-to-end engine
@@ -25,8 +24,7 @@ Micro scenarios stress exactly the paths the inner-loop work optimized:
 Macro scenarios are full Figure 4 cells (scale 1.0, 8 fast cores, seed 1)
 driven through the same ``build_program``/``build_system`` wiring as the
 paper sweeps, with tracing off — the configuration the acceptance speedup
-is measured on — plus the ``batched_cells`` / ``unbatched_cells`` pair
-timing the executor's multi-cell worker sessions (``--batch-cells``).
+is measured on — plus one faulted cell.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from ..core.policies import build_system
-from ..harness.executor import CellSpec, SweepExecutor
 from ..runtime.program import Program
 from ..runtime.task import TaskType
 from ..runtime.tdg import TaskGraph
@@ -158,10 +155,9 @@ def _tdg_relax(
     n_tasks: int = 20_000,
     fan: int = 6,
     budget: int = 64,
-    array_kernels: Optional[bool] = None,
 ) -> Measurement:
     """Dense dependence chains driving the bottom-level relaxation walk."""
-    graph = TaskGraph(bl_edge_budget=budget, array_kernels=array_kernels)
+    graph = TaskGraph(bl_edge_budget=budget)
     ttype = TaskType(name="bench", criticality=0, activity=0.5)
     t0 = time.perf_counter()
     for i in range(n_tasks):
@@ -281,32 +277,6 @@ def _faulted_cell(workload: str, policy: str, faults: str) -> Measurement:
     return Measurement(ops=system.sim.events_fired, wall_s=wall)
 
 
-def _cell_batch_sweep(batch_cells: int, n_cells: int = 64, jobs: int = 2) -> Measurement:
-    """A many-tiny-cells pool sweep timing multi-cell worker sessions.
-
-    ``batched_cells`` dispatches 32-cell chunks, each simulated
-    back-to-back in one kernel-arena session on the worker — the pool
-    task round-trip (pickle, queue, future) and the per-cell setup (the
-    machine object, the value-keyed power memo: 32 cores x ~5 interned
-    states re-resolved per cell otherwise, the kernel buffers) amortize
-    across the chunk; ``unbatched_cells`` pays one dispatch and one
-    setup per cell.  Results are identical either way; the throughput
-    gap is the amortization, so cells are deliberately tiny (scale
-    0.005) to keep setup a visible fraction.  Ops = cells; pool startup
-    is inside the wall for both variants.
-    """
-    specs = [
-        CellSpec(workload="blackscholes", policy="cata", fast=8, seed=s, scale=0.005)
-        for s in range(1, n_cells + 1)
-    ]
-    executor = SweepExecutor(jobs=jobs, batch_cells=batch_cells)
-    t0 = time.perf_counter()
-    results, _ = executor.run_cells(specs)
-    wall = time.perf_counter() - t0
-    assert len(results) == n_cells
-    return Measurement(ops=n_cells, wall_s=wall)
-
-
 ENGINE_SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         name="engine_churn",
@@ -325,13 +295,6 @@ ENGINE_SCENARIOS: tuple[Scenario, ...] = (
         run=_tdg_relax,
         unit="bl_edges",
         params={"n_tasks": 20_000, "fan": 6, "budget": 64},
-    ),
-    Scenario(
-        name="tdg_relax_array",
-        run=lambda: _tdg_relax(array_kernels=True),
-        unit="bl_edges",
-        params={"n_tasks": 20_000, "fan": 6, "budget": 64,
-                "array_kernels": True},
     ),
     Scenario(
         name="energy_sweep",
@@ -381,21 +344,5 @@ SWEEP_SCENARIOS: tuple[Scenario, ...] = (
         params={"workload": "bodytrack", "policy": "cata_rsu",
                 "scale": 1.0, "fast_cores": 8, "seed": 1,
                 "faults": "chaos:intensity=0.5,horizon=4ms"},
-    ),
-    Scenario(
-        name="batched_cells",
-        run=lambda: _cell_batch_sweep(batch_cells=32),
-        unit="cells",
-        params={"workload": "blackscholes", "policy": "cata",
-                "scale": 0.005, "fast_cores": 8, "seeds": [1, 64],
-                "jobs": 2, "batch_cells": 32},
-    ),
-    Scenario(
-        name="unbatched_cells",
-        run=lambda: _cell_batch_sweep(batch_cells=1),
-        unit="cells",
-        params={"workload": "blackscholes", "policy": "cata",
-                "scale": 0.005, "fast_cores": 8, "seeds": [1, 64],
-                "jobs": 2, "batch_cells": 1},
     ),
 )

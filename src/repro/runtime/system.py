@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..sim.arrays import KernelArena
 from ..sim.config import DVFSLevel, MachineConfig
 from ..sim.core_model import Core
 from ..sim.cstates import CStateController
@@ -98,7 +97,6 @@ class RuntimeSystem:
         bl_edge_budget: "Optional[int]" = None,
         sanitize: bool = False,
         faults: Optional[FaultPlan] = None,
-        arena: Optional[KernelArena] = None,
         jobs: Optional[Sequence[AdmittedJob]] = None,
         scenario_spec: Optional[str] = None,
     ) -> None:
@@ -118,15 +116,8 @@ class RuntimeSystem:
             self.sim.sanitizer = self.sanitizer
         self.trace = Trace(enabled=trace_enabled)
         self.power_model = PowerModel(machine.power)
-        #: Optional multi-cell worker arena: donates reusable flat buffers
-        #: and fingerprint-scoped memos to the energy accountant and TDG.
-        self.arena = arena
         self.energy = EnergyAccountant(
-            self.sim,
-            self.power_model,
-            machine.core_count,
-            shared_power_memo=arena.power_memo if arena is not None else None,
-            log=arena.transitions if arena is not None else None,
+            self.sim, self.power_model, machine.core_count
         )
         levels = list(initial_levels) if initial_levels is not None else None
         self.dvfs = DVFSController(self.sim, machine, self.trace, levels)
@@ -149,7 +140,6 @@ class RuntimeSystem:
             on_ready=self._on_task_ready,
             bl_edge_budget=bl_edge_budget,
             track_bottom_levels=getattr(self.estimator, "needs_bottom_levels", True),
-            arena=arena,
         )
         self.scheduler = scheduler
         scheduler.attach(self)

@@ -19,13 +19,10 @@ slowdown).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..sim import arrays
 from .task import Task, TaskState, TaskType
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.arrays import KernelArena
 
 __all__ = ["TaskGraph"]
 
@@ -41,7 +38,6 @@ class TaskGraph:
         bl_edge_budget: Optional[int] = None,
         track_bottom_levels: bool = True,
         array_kernels: Optional[bool] = None,
-        arena: "Optional[KernelArena]" = None,
     ) -> None:
         """``bl_edge_budget`` caps the edges visited by one submission's
         bottom-level relaxation walk.  Real runtimes bound this exploration
@@ -55,12 +51,10 @@ class TaskGraph:
         (``submit_cost_ns`` is 0 regardless of ``bl_edges_visited``), reads
         annotations rather than ``task.bottom_level``, and neither the
         serialized result nor the trace contains a bottom level.  The skip
-        only takes effect on the array-kernel path (``array_kernels``,
-        default: the ``REPRO_ARRAY_KERNELS`` environment toggle), so the
-        reference path stays byte-for-byte the historical implementation.
-
-        ``arena`` donates reusable flat buffers for multi-cell worker
-        sessions (see :class:`repro.sim.arrays.KernelArena`)."""
+        only takes effect on the C kernel path (``array_kernels``, default:
+        the ``REPRO_ARRAY_KERNELS`` environment toggle; see
+        :func:`repro.sim.arrays.kernels_enabled`), so the reference path
+        stays byte-for-byte the historical implementation."""
         if bl_edge_budget is not None and bl_edge_budget < 0:
             raise ValueError("bl_edge_budget must be non-negative")
         self._tasks: list[Task] = []
@@ -78,14 +72,13 @@ class TaskGraph:
         self._max_bl_waiting = 0
         #: Tasks killed by fault injection and re-enqueued (diagnostics).
         self.aborted_count = 0
-        #: Flat-array kernel state (bl/fin/histogram/CSR); None selects the
+        #: C kernel state (bl/fin/histogram/CSR); None selects the
         #: reference object-walking implementation.
-        self._k: Optional[arrays.BottomLevelState] = None
-        if arrays.kernels_enabled(array_kernels):
-            if arena is not None:
-                self._k = arena.bl  # cleared by arena.reset()
-            else:
-                self._k = arrays.BottomLevelState()
+        self._k: Optional[arrays.BottomLevelState] = (
+            arrays.BottomLevelState()
+            if arrays.kernels_enabled(array_kernels)
+            else None
+        )
         self._track = track_bottom_levels
 
     # ------------------------------------------------------------- queries
@@ -145,21 +138,12 @@ class TaskGraph:
         task_id = len(self._tasks)
         dep_ids = tuple(deps)
         k = self._k
-        if k is not None and k.native:
-            # Dep validation happens inside the fused C kernel (before any
-            # buffer mutation), which raises the reference's exact error.
-            # Consequence: a submission with *both* bad deps and bad task
-            # parameters reports the parameter error first here, the dep
-            # error first on the other paths — no caller passes both.
-            pass
-        elif k is not None:
-            # Two C-speed scans replace the per-dep Python check; on a bad
-            # dep the reference loop re-runs to raise the identical error.
-            if dep_ids and (min(dep_ids) < 0 or max(dep_ids) >= task_id):
-                for d in dep_ids:
-                    if not (0 <= d < task_id):
-                        raise ValueError(f"task {task_id} depends on unknown task {d}")
-        else:
+        # On the kernel path dep validation happens inside the fused C
+        # kernel (before any buffer mutation), which raises the reference's
+        # exact error.  Consequence: a submission with *both* bad deps and
+        # bad task parameters reports the parameter error first there, the
+        # dep error first here — no caller passes both.
+        if k is None:
             for d in dep_ids:
                 if not (0 <= d < task_id):
                     raise ValueError(f"task {task_id} depends on unknown task {d}")
@@ -184,7 +168,7 @@ class TaskGraph:
             # off the walk is skipped and 0 edges are charged — provably
             # unobservable under the static-annotation wiring (see ctor).
             edges_visited, pending = k.submit(
-                dep_ids, self._preds, tasks, self._bl_edge_budget, self._track
+                dep_ids, tasks, self._bl_edge_budget, self._track
             )
             tasks.append(task)
             self._preds.append(dep_ids)
@@ -222,10 +206,9 @@ class TaskGraph:
         bottom-level method.
 
         This is the hottest function of a BL-estimator run (every submit
-        walks ancestor edges), so the histogram update is inlined rather
-        than calling :meth:`_move_bl` per relaxed edge and all loop state
-        lives in locals; the visit order, edge count and resulting
-        bottom-levels are identical to the straightforward form.
+        walks ancestor edges), so the histogram update is inlined and all
+        loop state lives in locals; the visit order, edge count and
+        resulting bottom-levels are identical to the straightforward form.
         """
         budget = self._bl_edge_budget
         edges = len(dep_ids)  # the new edges themselves are inspected
@@ -269,16 +252,6 @@ class TaskGraph:
         self._max_bottom_level = max_bl
         self._max_bl_waiting = max_bl_waiting
         return edges
-
-    def _move_bl(self, task: Task, new_bl: int) -> None:
-        """Update a task's BL, keeping the waiting-tasks histogram in sync."""
-        if task.state is not TaskState.FINISHED:
-            old = task.bottom_level
-            self._bl_counts[old] -= 1
-            self._bl_counts[new_bl] = self._bl_counts.get(new_bl, 0) + 1
-            if new_bl > self._max_bl_waiting:
-                self._max_bl_waiting = new_bl
-        task.bottom_level = new_bl
 
     # ------------------------------------------------------------ progress
     def _make_ready(self, task: Task, now_ns: float) -> None:

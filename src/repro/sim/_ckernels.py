@@ -1,4 +1,4 @@
-"""Optional compiled backends for the flat-array kernels.
+"""Compiled kernels for the flat-array layer.
 
 The two order-sensitive sweeps in :mod:`repro.sim.arrays` — the budgeted
 LIFO bottom-level relaxation walk and the energy transition-log replay —
@@ -6,14 +6,14 @@ cannot be vectorized with numpy without changing observable quantities
 (visit counts, float summation order).  They are, however, trivial C
 loops over the flat buffers the kernel layer already maintains.  This
 module compiles them at first use with the host C compiler and loads the
-shared object via :mod:`ctypes`.
+shared object via cffi or :mod:`ctypes`.
 
 Strictly optional: when no compiler is available (or compilation fails
-for any reason) the caller falls back to the pure-Python kernels, which
-produce bit-identical results — both backends are pinned against the
-reference implementation and the golden fingerprints.  Set
-``REPRO_ARRAY_KERNELS=py`` to force the Python kernels even when a
-compiler exists (CI pins that path explicitly).
+for any reason) :func:`load` returns ``None`` and the host runs the
+object-walk/eager reference in ``TaskGraph`` and ``EnergyAccountant``,
+which produces bit-identical results — the kernels are pinned against
+that reference and the golden fingerprints.  ``REPRO_ARRAY_KERNELS=0``
+selects the reference even when a compiler exists.
 
 Exactness notes:
 
@@ -32,7 +32,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Optional
 
 __all__ = ["load"]
 
@@ -312,8 +311,8 @@ def load():
     """The compiled kernel library, or ``None`` if unavailable.
 
     Compiled once per machine into a content-addressed file under the
-    temp directory, then dlopen'd by every process — a multi-cell worker
-    pool pays the compile exactly once (racing compilers both succeed:
+    temp directory, then dlopen'd by every process — a worker pool pays
+    the compile exactly once (racing compilers both succeed:
     the rename is atomic and the content identical).  Bound through
     cffi when present, ctypes otherwise; both expose ``bl_submit`` /
     ``energy_replay`` taking raw addresses as ints (see ``_CDEF``).

@@ -8,24 +8,24 @@ piecewise-constant power signal — no sampling error, fully deterministic.
 Two integration modes produce bit-identical results (pinned by
 tests/golden and ``tests/sim/test_arrays.py``):
 
-* **interval-batched** (default; the array-kernel path): ``set_state``
-  only appends ``(t, core, power, bucket)`` to the flat
+* **interval-batched** (default when the compiled kernels load; see
+  :func:`repro.sim.arrays.kernels_enabled`): ``set_state`` only appends
+  ``(t, core, power, bucket)`` to the flat
   :class:`~repro.sim.arrays.TransitionLog`; the integration runs as one
-  replay sweep at :meth:`finalize` — and at any earlier sync point (a
+  C replay sweep at :meth:`finalize` — and at any earlier sync point (a
   mid-run property read, or the periodic flush bounding log memory).
   Replaying transitions in append order reproduces the exact float
   summation order of the eager path: per-core partial sums accrue in
   that core's chronological order and the bucket sums in the global
   chronological interleaving, because that *is* append order.  A prefix
   flush performs the same additions at the same points in the sequence,
-  so syncing early is bitwise-neutral.  The sweep itself runs in C when
-  :func:`repro.sim.arrays.native_enabled` (compiled with FP contraction
-  off, so every multiply/divide rounds exactly as CPython does), else
-  as a Python loop over the same buffers.
-* **eager** (``REPRO_ARRAY_KERNELS=0``): the historical per-edge accrual
-  in ``set_state`` itself.
+  so syncing early is bitwise-neutral.  The sweep is compiled with FP
+  contraction off, so every multiply/divide rounds exactly as CPython
+  does.
+* **eager** (``REPRO_ARRAY_KERNELS=0``, or no C compiler): the
+  historical per-edge accrual in ``set_state`` itself.
 
-All accumulators live in ``array('d')`` buffers shared by every mode —
+All accumulators live in ``array('d')`` buffers shared by both modes —
 a C double round-trips Python floats exactly, so the representation is
 bitwise-neutral too.
 
@@ -61,14 +61,10 @@ class EnergyAccountant:
         model: PowerModel,
         core_count: int,
         batched: Optional[bool] = None,
-        shared_power_memo: Optional[dict] = None,
-        log: Optional[arrays.TransitionLog] = None,
     ) -> None:
         """``batched`` selects interval-batched integration (default: the
-        ``REPRO_ARRAY_KERNELS`` environment toggle).  ``shared_power_memo``
-        is an arena-scoped, *value-keyed* ``{CoreState: (watts, bucket)}``
-        cache shared across cells of one machine fingerprint;
-        ``log`` donates a reusable transition-log buffer (arena)."""
+        ``REPRO_ARRAY_KERNELS`` environment toggle); it needs the compiled
+        replay kernel, and without it the accountant integrates eagerly."""
         self._sim = sim
         self._model = model
         self._core_count = core_count
@@ -95,16 +91,8 @@ class EnergyAccountant:
         #: state itself, so the id cannot be recycled while the entry
         #: exists.
         self._power_bucket: dict[int, tuple[float, int, CoreState]] = {}
-        #: Arena-level L2 behind the id-keyed L1: keyed by the CoreState
-        #: *value* (frozen dataclass), so entries survive across cells of a
-        #: multi-cell worker session without any id-recycling hazard.  The
-        #: arena clears it when the machine fingerprint changes — power is a
-        #: pure function of (machine, state).  Hashing a state walks its
-        #: fields, but only on an L1 miss: a handful of times per cell.
-        self._shared_power_memo = shared_power_memo
         self._batched = arrays.kernels_enabled(batched)
-        self._native = self._batched and arrays.native_enabled()
-        self._log = log if log is not None else arrays.TransitionLog()
+        self._log = arrays.TransitionLog()
 
     @staticmethod
     def _bucket_of(state: CoreState) -> str:
@@ -118,28 +106,13 @@ class EnergyAccountant:
         return "busy_fast" if state.level.name == "fast" else "busy_slow"
 
     def _resolve(self, state: CoreState) -> tuple[float, int, CoreState]:
-        """(watts, bucket_index, state) via the L1 id-memo, then the L2."""
-        entry = self._power_bucket.get(id(state))
-        if entry is None:
-            shared = self._shared_power_memo
-            if shared is not None:
-                cached = shared.get(state)
-                if cached is None:
-                    cached = (
-                        self._model.core_w(state),
-                        self.BUCKETS.index(self._bucket_of(state)),
-                    )
-                    shared[state] = cached
-                # The L1 entry must hold *this* state object (not the
-                # value-equal one keying the L2) so its id stays pinned.
-                entry = (cached[0], cached[1], state)
-            else:
-                entry = (
-                    self._model.core_w(state),
-                    self.BUCKETS.index(self._bucket_of(state)),
-                    state,
-                )
-            self._power_bucket[id(state)] = entry
+        """(watts, bucket_index, state) of a state missing from the memo."""
+        entry = (
+            self._model.core_w(state),
+            self.BUCKETS.index(self._bucket_of(state)),
+            state,
+        )
+        self._power_bucket[id(state)] = entry
         return entry
 
     # ------------------------------------------------------------- updates
@@ -179,7 +152,8 @@ class EnergyAccountant:
         self._core_last_change_ns[core_id] = now
 
     def _sync(self) -> None:
-        """Replay the pending transition log (batched mode).
+        """Replay the pending transition log (batched mode) through the C
+        kernel.
 
         One sweep over the flat buffers, performing exactly the additions
         the eager path would have performed at each ``set_state`` edge, in
@@ -190,49 +164,23 @@ class EnergyAccountant:
         n = len(log.t)
         if not n:
             return
-        if self._native:
-            addr = lambda a: a.buffer_info()[0]  # noqa: E731
-            bad = _ckernels.load().energy_replay(
-                addr(log.t),
-                addr(log.core),
-                addr(log.power),
-                addr(log.bidx),
-                n,
-                addr(self._core_energy_j),
-                addr(self._core_last_change_ns),
-                addr(self._core_power),
-                addr(self._core_bidx),
-                addr(self._has_state),
-                addr(self._bucket_energy),
-                addr(self._bucket_time),
-            )
-            if bad >= 0:
-                raise RuntimeError("time went backwards in energy accounting")
-            log.clear()
-            return
-        has_state = self._has_state
-        last_change = self._core_last_change_ns
-        core_energy = self._core_energy_j
-        bucket_energy = self._bucket_energy
-        bucket_time = self._bucket_time
-        core_power = self._core_power
-        core_bidx = self._core_bidx
-        sec = SEC
-        for now, core_id, power, bidx in zip(log.t, log.core, log.power, log.bidx):
-            if has_state[core_id]:
-                dt_ns = now - last_change[core_id]
-                if dt_ns < 0:
-                    raise RuntimeError("time went backwards in energy accounting")
-                joules = core_power[core_id] * dt_ns / sec
-                bucket = core_bidx[core_id]
-                core_energy[core_id] += joules
-                bucket_energy[bucket] += joules
-                bucket_time[bucket] += dt_ns
-            else:
-                has_state[core_id] = 1
-            last_change[core_id] = now
-            core_power[core_id] = power
-            core_bidx[core_id] = bidx
+        addr = lambda a: a.buffer_info()[0]  # noqa: E731
+        bad = _ckernels.load().energy_replay(
+            addr(log.t),
+            addr(log.core),
+            addr(log.power),
+            addr(log.bidx),
+            n,
+            addr(self._core_energy_j),
+            addr(self._core_last_change_ns),
+            addr(self._core_power),
+            addr(self._core_bidx),
+            addr(self._has_state),
+            addr(self._bucket_energy),
+            addr(self._bucket_time),
+        )
+        if bad >= 0:
+            raise RuntimeError("time went backwards in energy accounting")
         log.clear()
 
     # ------------------------------------------------------------- results

@@ -14,6 +14,10 @@ import sys
 
 import pytest
 
+from repro.runtime.tdg import TaskGraph
+from repro.sim import _ckernels
+from repro.sim.arrays import kernels_enabled, native_enabled
+
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from regenerate import (  # noqa: E402
     GOLDEN_FAST,
@@ -63,16 +67,22 @@ def test_trace_is_bitwise_identical_to_golden(golden, cell):
 TOGGLE_CELLS = ("fluidanimate/cata", "dedup/cats_bl")
 
 
-@pytest.mark.parametrize("toggle", ["1", "0", "py"])
+@pytest.mark.parametrize("toggle", ["1", "0", "no-compiler"])
 @pytest.mark.parametrize("cell", TOGGLE_CELLS)
 def test_golden_identical_under_kernel_toggle(golden, cell, toggle, monkeypatch):
-    """Kernels forced on, off, and pure-Python all hit the golden hash."""
-    monkeypatch.setenv("REPRO_ARRAY_KERNELS", toggle)
+    """Kernels forced on, forced off, and a host whose C library does not
+    load (the reference is then its only path) all hit the golden hash."""
+    if toggle == "no-compiler":
+        monkeypatch.setattr(_ckernels, "load", lambda: None)
+        assert not kernels_enabled() and not native_enabled()
+        assert TaskGraph()._k is None
+    else:
+        monkeypatch.setenv("REPRO_ARRAY_KERNELS", toggle)
     workload, policy = cell.split("/")
     result = run_cell(workload, policy)
     assert fingerprint(result) == golden["cells"][cell]["sha256"], (
-        f"{cell} diverged from golden with REPRO_ARRAY_KERNELS={toggle} — "
-        "the kernel toggle changed observable output"
+        f"{cell} diverged from golden under kernel leg {toggle!r} — "
+        "the kernel backend changed observable output"
     )
 
 

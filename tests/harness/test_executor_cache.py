@@ -325,3 +325,16 @@ class TestWarmKeying:
         calls["cell_key"] = 0
         runner.run_grid(**self.GRID)
         assert calls["cell_key"] == 0
+
+
+class TestRunnerClose:
+    def test_close_releases_journal_and_pool(self, tmp_path):
+        with GridRunner(scale=0.05, cache_dir=str(tmp_path), jobs=2) as runner:
+            first = runner.run_one("swaptions", "fifo", 8)
+            journal = runner.executor.journal
+            assert journal is not None and journal._fh is not None
+        assert journal._fh is None
+        assert runner.executor._closed
+        # The memo still answers, and a second close is harmless.
+        assert runner.run_one("swaptions", "fifo", 8) is first
+        runner.close()
