@@ -21,7 +21,7 @@ that safe:
 ``@guarded_by`` convention — one line per lock in the class docstring::
 
     @guarded_by("_cond"): _tasks, _jobs, _job_seq
-    @guarded_by("_log_lock"): _jobs_log
+    @guarded_by("_lock"): _fh, _closed
 
 Alternatively (for classes whose source cannot be annotated) a sidecar
 entry in :data:`SIDECAR_GUARDS` maps ``class name -> {attr: lock}``.

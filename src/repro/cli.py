@@ -270,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SEC",
                          help="graceful-drain deadline for SIGTERM / "
                          "POST /v1/admin/drain")
-    p_serve.add_argument("--hang-timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="watchdog: abandon + rebuild a busy worker "
-                         "whose heartbeat is staler than SEC (default: "
-                         "disabled)")
     add_resilience_flags(p_serve)
 
     p_submit = sub.add_parser(
@@ -609,7 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_share=args.default_share,
         overload=overload,
         drain_grace_s=args.drain_grace,
-        worker_hang_timeout_s=args.hang_timeout,
         verbose=args.verbose,
     )
 

@@ -263,7 +263,8 @@ class RetryPolicy:
             raise ValueError("pool_failure_limit must be >= 1")
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Jittered exponential delay before retry number ``attempt``."""
+        """Jittered exponential delay before retry number ``attempt``
+        (the one backoff formula: ``ClientRetryPolicy`` shares it)."""
         base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
         return base * (0.5 + 0.5 * rng.random())
 
@@ -414,7 +415,7 @@ class SweepExecutor:
         #: The isolated executor's persistent pool: forked at the first
         #: batch that simulates, dropped by a teardown or :meth:`close`.
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Set by :meth:`close`; no pool is built afterwards.
+        #: Set by :meth:`close`; no cell is simulated afterwards.
         self._closed = False
         self._rng = random.Random(self.retry.jitter_seed)
         #: Pool teardowns over this executor's lifetime; at
@@ -506,7 +507,8 @@ class SweepExecutor:
         return results, batch
 
     def close(self, kill: bool = False) -> None:
-        """Retire the executor: it builds no worker pool after this.
+        """Retire the executor: it simulates no cell after this, inline or
+        on a pool, and raises ``RuntimeError`` instead.
 
         The persistent pool's workers are joined, or, with ``kill=True``,
         killed (an abandoned batch may still occupy them).  A closed
@@ -542,6 +544,8 @@ class SweepExecutor:
         to ``checkpoint`` as the cell completes."""
         if not specs:
             return
+        with self._pool_lock:
+            self._refuse_if_closed_locked()
         machine_dict = (
             machine_to_dict(self.machine) if self.machine is not None else None
         )
@@ -608,16 +612,17 @@ class SweepExecutor:
         per call or, isolated, the persistent pool of ``jobs`` processes
         (forked on first use, and again after a teardown)."""
         with self._pool_lock:
-            if self._closed:
-                raise RuntimeError(
-                    "executor is closed: it builds no more worker pools"
-                )
+            self._refuse_if_closed_locked()
             if not self.isolate:
                 return self._new_pool(workers)
             # A worker that died between batches leaves the pool broken.
             if self._pool is None or self._pool._broken:
                 self._pool = self._new_pool(self.jobs)
             return self._pool
+
+    def _refuse_if_closed_locked(self) -> None:
+        if self._closed:
+            raise RuntimeError("executor is closed: it simulates no more cells")
 
     def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
         """Kill a hung, broken or abandoned pool and stop reusing it.

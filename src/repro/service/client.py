@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 from urllib.parse import urlsplit
 
+from ..harness.executor import RetryPolicy
 from .protocol import DEFAULT_CLIENT, DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = [
@@ -120,10 +121,10 @@ class CircuitOpenError(ServiceUnavailableError):
 class ClientRetryPolicy:
     """Retry/backoff behavior of one :class:`ServiceClient`.
 
-    Mirrors the executor's :class:`~repro.harness.executor.RetryPolicy`
-    idiom: exponential base doubling per attempt, jitter drawn from a
-    seeded RNG so the schedule is reproducible, hard cap per delay plus a
-    total budget across one logical request.
+    Shares the executor's :class:`~repro.harness.executor.RetryPolicy`
+    backoff: exponential base doubling per attempt, jitter drawn from a
+    seeded RNG so the schedule is reproducible, hard cap per delay; the
+    client adds a total budget across one logical request.
     """
 
     #: Total tries per request (first attempt included).
@@ -147,10 +148,9 @@ class ClientRetryPolicy:
         if self.retry_budget_s < 0:
             raise ValueError("retry_budget_s must be >= 0")
 
-    def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Jittered exponential delay before retry number ``attempt``."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        return base * (0.5 + 0.5 * rng.random())
+    #: The one jittered exponential formula, read from this policy's own
+    #: ``backoff_base_s``/``backoff_cap_s``.
+    backoff_s = RetryPolicy.backoff_s
 
     def schedule(self, retries: Optional[int] = None) -> list[float]:
         """The deterministic delay sequence one request would see.

@@ -28,20 +28,21 @@ Architecture, front to back:
   needs.  The workers are forked at the first batch that simulates and
   exit with the daemon (joined by a drain, killed with it by a SIGKILL).
   The same ``simulate_cell`` runs, so service results are
-  bitwise-identical to the single-process CLI path.  A watchdog rebuilds
-  the worker thread if it dies or hangs (mirroring the executor's own
-  stuck-pool recovery, one layer up) and kills the retired pool.
+  bitwise-identical to the single-process CLI path.  A cell that overruns
+  ``--cell-timeout`` has its worker killed by the executor (with
+  ``--retries`` attempts), and a batch that raises anything fails its own
+  unfinished cells while the worker thread keeps serving.
 
-Durability: submissions are appended (fsynced) to ``<state>/jobs.jsonl``
-before they are acknowledged, and each cell lands in the result cache
-and the fsynced sweep journal the moment it completes.  A SIGKILLed
-daemon therefore restarts by replaying ``jobs.jsonl``: finished cells
-resolve instantly from the cache (counted as *resumed* when the journal
-vouches for them) and only genuinely unfinished cells are re-simulated.
-SIGTERM (or
-``POST /v1/admin/drain``) is the *graceful* path: admissions stop (503),
-the in-flight batch finishes and checkpoints, and the daemon exits within
-a drain deadline — anything still queued resumes on the next start.
+Durability: submissions are appended to ``<state>/jobs.jsonl`` (a
+:class:`~repro.harness.journal.DurableLog`, fsynced like the sweep
+journal) before they are acknowledged, and each cell lands in the result
+cache and the sweep journal the moment it completes.  A SIGKILLed daemon
+therefore restarts by replaying ``jobs.jsonl``: finished cells resolve
+instantly from the cache (counted as *resumed* when the journal vouches
+for them) and only genuinely unfinished cells are re-simulated.  SIGTERM
+(or ``POST /v1/admin/drain``) is the *graceful* path: admissions stop
+(503), the in-flight batch finishes and checkpoints, and the daemon exits
+within a drain deadline — anything still queued resumes on the next start.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..harness.cache import ResultCache
-from ..harness.executor import CellSpec, RetryPolicy, SweepExecutor, SweepStats
-from ..harness.journal import SweepJournal
+from ..harness.executor import CellSpec, RetryPolicy, SweepExecutor
+from ..harness.journal import DurableLog, SweepJournal
 from ..runtime.system import RunResult
 from ..sim.config import MachineConfig
 from ..sim.serialize import result_to_dict
@@ -161,22 +162,20 @@ class _Job:
 class SweepService:
     """Thread-safe core of the sweep daemon (usable without HTTP).
 
-    Four kinds of threads share this object: ``asyncio.to_thread``
+    Three kinds of threads share this object: ``asyncio.to_thread``
     handler threads (submit/status/fetch/drain), the dedicated
-    sweep-worker thread, the watchdog thread, and executor callbacks
-    (``_on_cell_complete``).  The lock discipline below is
-    machine-checked by ``repro check`` (CONC2xx):
+    sweep-worker thread, and executor callbacks (``_on_cell_complete``).
+    The lock discipline below is machine-checked by ``repro check``
+    (CONC2xx):
 
     @guarded_by("_cond"): _tasks, _jobs, _job_seq, scheduler, admission
     @guarded_by("_cond"): _draining, _idempotency, _client_inflight
-    @guarded_by("_cond"): _worker, _worker_gen, _worker_heartbeat
-    @guarded_by("_cond"): executor, journal, _stats_base, worker_rebuilds
-    @guarded_by("_log_lock"): _jobs_log
+    @guarded_by("_cond"): _worker, _abandoned
 
-    ``_log_lock`` serializes the fsynced ``jobs.jsonl`` appends without
-    stalling the service under ``_cond`` for the disk; it is never held
-    together with ``_cond`` (submit releases ``_cond`` before logging),
-    so no lock ordering exists between them.
+    The fsynced ``jobs.jsonl`` append runs outside ``_cond`` (submit
+    releases it before logging), so a slow disk never stalls the HTTP
+    handlers; the :class:`~repro.harness.journal.DurableLog` serializes
+    appends on its own lock.
     """
 
     def __init__(
@@ -189,8 +188,6 @@ class SweepService:
         default_share: int = DEFAULT_SHARE,
         overload: Optional[OverloadPolicy] = None,
         drain_grace_s: float = 30.0,
-        watchdog_interval_s: float = 1.0,
-        worker_hang_timeout_s: Optional[float] = None,
         verbose: bool = False,
     ) -> None:
         self.state_dir = state_dir
@@ -198,22 +195,21 @@ class SweepService:
         cache_dir = os.path.join(state_dir, "cache")
         self.cache = ResultCache(cache_dir)
         self.machine = machine
-        self.verbose = verbose
-        self._jobs_n = jobs
-        self._retry = retry
-        self._journal_path = os.path.join(cache_dir, "journal.jsonl")
-        self.journal = SweepJournal(self._journal_path)
-        self.executor = self._build_executor(self.journal)
+        self.journal = SweepJournal(os.path.join(cache_dir, "journal.jsonl"))
+        self.executor = SweepExecutor(
+            jobs=jobs,
+            cache=self.cache,
+            machine=machine,
+            verbose=verbose,
+            retry=retry,
+            journal=self.journal,
+            on_cell_complete=self._on_cell_complete,
+            isolate=True,
+        )
         self.scheduler = FairScheduler(default_share=default_share, shares=shares)
         self.admission = AdmissionController(overload)
         #: Worker join deadline for ``stop()``/drain.
         self.drain_grace_s = drain_grace_s
-        self.watchdog_interval_s = watchdog_interval_s
-        #: Heartbeat staleness past which a busy worker counts as hung
-        #: and is abandoned + rebuilt; ``None`` disables hang rebuilds
-        #: (the executor's per-cell timeouts remain the first line of
-        #: defense against stuck pools).
-        self.worker_hang_timeout_s = worker_hang_timeout_s
         #: Cells per worker batch: mirrors the executor's oversubscription
         #: window so the pool stays fed, small enough that fairness and
         #: in-flight dedup re-evaluate frequently.
@@ -227,61 +223,26 @@ class SweepService:
         self._idempotency: dict[str, str] = {}
         #: Unresolved (queued or running) cells per submitting client.
         self._client_inflight: dict[str, int] = {}
-        self._jobs_log_path = os.path.join(state_dir, "jobs.jsonl")
-        self._log_lock = threading.Lock()
-        self._jobs_log: Optional[Any] = None
+        self._jobs_log = DurableLog(os.path.join(state_dir, "jobs.jsonl"))
         self._started_monotonic = time.monotonic()
         self._stop = threading.Event()
         self._worker: Optional[threading.Thread] = None
-        #: Bumped on every rebuild; a worker that wakes up with a stale
-        #: generation exits without touching shared state again.
-        self._worker_gen = 0
-        self._worker_heartbeat = time.monotonic()
-        self._watchdog: Optional[threading.Thread] = None
-        self.worker_rebuilds = 0
-        self._last_rebuild_reason = ""
-        #: Lifetime stats of retired executors (hung-worker rebuilds swap
-        #: in a fresh executor; health() reports base + current).
-        self._stats_base = SweepStats()
+        #: Set when the worker thread missed the stop deadline: it must
+        #: not touch job state once its killed pool fails its batch.
+        self._abandoned = False
         self.recovered_jobs = self._recover()
-
-    def _build_executor(self, journal: SweepJournal) -> SweepExecutor:
-        return SweepExecutor(
-            jobs=self._jobs_n,
-            cache=self.cache,
-            machine=self.machine,
-            verbose=self.verbose,
-            retry=self._retry,
-            journal=journal,
-            on_cell_complete=self._on_cell_complete,
-            isolate=True,
-        )
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Start the worker tier and its watchdog (idempotent)."""
+        """Start the worker thread (idempotent)."""
         with self._cond:
             if self._worker is None:
-                self._spawn_worker_locked()
-        if self._watchdog is None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop,
-                name="repro-sweep-watchdog",
-                daemon=True,
-            )
-            self._watchdog.start()
-
-    def _spawn_worker_locked(self) -> None:
-        gen = self._worker_gen
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(gen,),
-            name=f"repro-sweep-worker-g{gen}",
-            daemon=True,
-        )
-        self._worker = worker
-        self._worker_heartbeat = time.monotonic()
-        worker.start()
+                self._worker = threading.Thread(
+                    target=self._worker_loop,
+                    name="repro-sweep-worker",
+                    daemon=True,
+                )
+                self._worker.start()
 
     def begin_drain(self) -> dict[str, Any]:
         """Stop admissions immediately; running work continues.
@@ -321,122 +282,50 @@ class SweepService:
             worker = self._worker
             self._worker = None
             self._cond.notify_all()
-        watchdog = self._watchdog
-        self._watchdog = None
-        if watchdog is not None:
-            watchdog.join(timeout=5.0)
         stuck = False
         if worker is not None:
             worker.join(timeout=deadline)
             stuck = worker.is_alive()
-        with self._cond:
-            if stuck:
-                # The abandoned thread must not touch job state when its
-                # killed pool makes its batch fail.
-                self._worker_gen += 1
-            executor, journal = self.executor, self.journal
-        executor.close(kill=stuck)
-        # Closed on both paths: an abandoned thread that finishes a cell
-        # late finds the journal closed and drops the line.
-        journal.close()
+        if stuck:
+            with self._cond:
+                self._abandoned = True
+        self.executor.close(kill=stuck)
+        # Both logs close on both paths: an abandoned thread that finishes
+        # a cell late finds the journal closed and drops the line.
+        self.journal.close()
+        self._jobs_log.close()
         if stuck:
             message = (
                 f"sweep worker thread failed to stop within {deadline:.1f}s; "
                 "its worker processes were killed"
             )
             print(f"repro-serve: ERROR: {message}", file=sys.stderr, flush=True)
-        with self._log_lock:
-            if self._jobs_log is not None:
-                try:
-                    self._jobs_log.close()
-                except OSError:
-                    pass
-                self._jobs_log = None
-        if stuck:
             raise ServiceShutdownError(message)
 
     # ------------------------------------------------------------ durability
-    def _log_job(
-        self,
-        job_id: str,
-        client: str,
-        specs: list[CellSpec],
-        criticality: Optional[str] = None,
-        idempotency: Optional[str] = None,
-    ) -> None:
-        """Persist a submission before acknowledging it (fsync, like the
-        sweep journal): a SIGKILLed daemon must be able to finish every
-        job it ever accepted."""
-        entry: dict[str, Any] = {
-            "job": job_id,
-            "client": client,
-            "cells": [spec_to_dict(s) for s in specs],
-        }
-        if criticality is not None:
-            entry["criticality"] = criticality
-        if idempotency is not None:
-            entry["idempotency"] = idempotency
-        line = json.dumps(entry, sort_keys=True)
-        # Concurrent submits run on asyncio.to_thread workers; without
-        # this lock the lazy open races and interleaved write/fsync pairs
-        # can tear lines in the very log whose job is crash recovery.
-        with self._log_lock:
-            try:
-                if self._jobs_log is None:
-                    self._jobs_log = open(
-                        self._jobs_log_path, "a", encoding="utf-8"
-                    )
-                    if self._jobs_log.tell() > 0:
-                        # Torn tail from a killed writer: start on a
-                        # fresh line.
-                        with open(self._jobs_log_path, "rb") as fh:
-                            fh.seek(-1, os.SEEK_END)
-                            if fh.read(1) != b"\n":
-                                self._jobs_log.write("\n")
-                self._jobs_log.write(line + "\n")
-                self._jobs_log.flush()
-                os.fsync(self._jobs_log.fileno())
-            except OSError:
-                # An unwritable log degrades restart recovery, nothing
-                # else.
-                pass
-
     def _recover(self) -> int:
         """Replay ``jobs.jsonl``: re-register every job of previous daemon
         lives.  Finished cells resolve instantly from the cache; only the
         unfinished remainder re-enters the queue.  Recovery bypasses
         admission control — these jobs were already accepted."""
-        entries: list[tuple[str, str, list[CellSpec], Optional[str]]] = []
-        try:
-            with open(self._jobs_log_path, encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        entry = json.loads(raw)
-                        job_id = str(entry["job"])
-                        client = str(entry["client"])
-                        specs = [spec_from_dict(c) for c in entry["cells"]]
-                        idem = entry.get("idempotency")
-                        idem = str(idem) if idem is not None else None
-                    except (json.JSONDecodeError, KeyError, TypeError,
-                            ValueError):
-                        continue  # torn tail or garbage: skip, don't crash
-                    entries.append((job_id, client, specs, idem))
-        except FileNotFoundError:
-            return 0
-        except OSError:
-            return 0
-        for job_id, client, specs, idem in entries:
+        recovered = 0
+        for entry in self._jobs_log.read():
+            try:
+                job_id = str(entry["job"])
+                client = str(entry["client"])
+                specs = [spec_from_dict(c) for c in entry["cells"]]
+            except (KeyError, TypeError, ValueError):
+                continue  # not a job entry: skip, don't crash
             self._register(job_id, client, specs, self._keyed(specs))
             seq = _job_seq_of(job_id)
+            idem = entry.get("idempotency")
             with self._cond:
                 if seq is not None:
                     self._job_seq = max(self._job_seq, seq + 1)
                 if idem is not None:
-                    self._idempotency[idem] = job_id
-        return len(entries)
+                    self._idempotency[str(idem)] = job_id
+            recovered += 1
+        return recovered
 
     # ------------------------------------------------------------ submission
     def submit(self, body: Any) -> dict[str, Any]:
@@ -484,9 +373,17 @@ class SweepService:
                 raise OverloadedError(decision.reason, decision.retry_after_s)
             job_id = f"j{self._job_seq:06d}"
             self._job_seq += 1
-        self._log_job(
-            job_id, client, specs, criticality=criticality, idempotency=idem
-        )
+        entry: dict[str, Any] = {
+            "job": job_id,
+            "client": client,
+            "cells": [spec_to_dict(s) for s in specs],
+            "criticality": criticality,
+        }
+        if idem is not None:
+            entry["idempotency"] = idem
+        # Durable before acknowledged: a SIGKILLed daemon must be able to
+        # finish every job it ever accepted.
+        self._jobs_log.append(entry)
         job = self._register(job_id, client, specs, keyed)
         if idem is not None:
             with self._cond:
@@ -584,34 +481,33 @@ class SweepService:
             self._client_inflight[task.client] = count - 1
 
     # ------------------------------------------------------------ worker tier
-    def _worker_loop(self, gen: int) -> None:
-        while True:
-            batch: list[_CellTask] = []
-            with self._cond:
-                while not self._stop.is_set() and gen == self._worker_gen:
-                    self._worker_heartbeat = time.monotonic()
-                    batch = self._take_batch_locked()
-                    if batch:
-                        break
-                    self._cond.wait(timeout=0.25)
-                if self._stop.is_set() or gen != self._worker_gen:
-                    return
-                executor = self.executor
-            specs = [task.spec for task in batch]
+    def _worker_loop(self) -> None:
+        """Feed fair batches to the executor until :meth:`stop`.
+
+        One handler covers taking a batch and running it.  Whatever
+        escapes — exhausted retries, a cell timeout, a non-retryable cell
+        error, a ``SystemExit`` a worker process handed back — fails every
+        RUNNING cell (with one worker thread, exactly the current batch's
+        unfinished cells: the executor already checkpointed the ones that
+        finished), and the thread keeps serving.  Catching
+        ``BaseException`` gives nothing up here: this is not the main
+        thread, so no interrupt is delivered to it and a ``SystemExit``
+        would only end the thread, never the daemon.
+        """
+        while not self._stop.is_set():
             try:
-                executor.run_cells(specs)
-            except Exception as exc:  # the daemon must survive any cell error
-                # Exhausted retries / non-retryable cell error: fail every
-                # batch cell that didn't complete (the executor already
-                # checkpointed the ones that did), keep serving.
                 with self._cond:
-                    if gen != self._worker_gen:
-                        # Abandoned mid-batch by the watchdog (the new
-                        # worker owns these requeued cells now) or by a
-                        # missed stop deadline.
+                    batch = self._take_batch_locked()
+                    if not batch:
+                        self._cond.wait(timeout=0.25)
+                        continue
+                self.executor.run_cells([task.spec for task in batch])
+            except BaseException as exc:  # the daemon must survive any batch
+                with self._cond:
+                    if self._abandoned:
                         return
-                    for task in batch:
-                        if task.state != _DONE:
+                    for task in self._tasks.values():
+                        if task.state == _RUNNING:
                             task.state = _FAILED
                             task.error = f"{type(exc).__name__}: {exc}"
                             self._dec_inflight_locked(task)
@@ -641,7 +537,6 @@ class SweepService:
     ) -> None:
         """Executor hook: journal-backed per-cell progress streaming."""
         with self._cond:
-            self._worker_heartbeat = time.monotonic()
             task = self._tasks.get(key)
             if task is None:
                 return
@@ -661,71 +556,6 @@ class SweepService:
                     job.simulated += 1
             task.jobs.clear()
             self._cond.notify_all()
-
-    # ------------------------------------------------------------- watchdog
-    def _watchdog_loop(self) -> None:
-        """Rebuild the worker tier when its thread dies or hangs.
-
-        Mirrors the executor's stuck-pool recovery one layer up: the
-        executor tears down and rebuilds a hung *process pool*; the
-        watchdog tears down and rebuilds a dead/hung *worker thread*
-        (with a fresh executor + journal handle for hangs, because the
-        old ones are stuck inside the abandoned call).
-        """
-        while not self._stop.wait(self.watchdog_interval_s):
-            with self._cond:
-                worker = self._worker
-                if worker is None:
-                    continue
-                if not worker.is_alive():
-                    self._rebuild_worker_locked("worker thread died")
-                    continue
-                busy = self.scheduler.pending() > 0 or any(
-                    t.state == _RUNNING for t in self._tasks.values()
-                )
-                hang = self.worker_hang_timeout_s
-                if (
-                    hang is not None
-                    and busy
-                    and time.monotonic() - self._worker_heartbeat > hang
-                ):
-                    self._rebuild_worker_locked(
-                        f"worker heartbeat stale past {hang:.1f}s"
-                    )
-
-    def _rebuild_worker_locked(self, reason: str) -> None:
-        """Abandon the current worker generation and start a fresh one.
-
-        Caller holds ``_cond``.  RUNNING cells are requeued for the new
-        worker; if the abandoned thread ever finishes them anyway, the
-        completion path is idempotent (content-addressed cache writes are
-        atomic and ``_on_cell_complete`` keys by cell, not by worker).
-        """
-        print(
-            f"repro-serve: watchdog: {reason}; rebuilding worker tier",
-            file=sys.stderr,
-            flush=True,
-        )
-        self._worker_gen += 1
-        self.worker_rebuilds += 1
-        self._last_rebuild_reason = reason
-        # The old executor/journal may be wedged inside the abandoned
-        # call; retire them (keeping their lifetime stats) and hand the
-        # new worker fresh ones on the same on-disk state.
-        self._stats_base.merge(self.executor.stats)
-        # Killing the retired pool wakes the abandoned thread with a
-        # broken pool, and the closed executor refuses to fork another;
-        # the closed journal drops any line that thread records late.
-        self.executor.close(kill=True)
-        self.journal.close()
-        self.journal = SweepJournal(self._journal_path)
-        self.executor = self._build_executor(self.journal)
-        for task in self._tasks.values():
-            if task.state == _RUNNING:
-                task.state = _PENDING
-                self.scheduler.enqueue(task.client or "anon", task)
-        self._spawn_worker_locked()
-        self._cond.notify_all()
 
     # ------------------------------------------------------------ queries
     def status(self, job_id: str, detail: bool = False) -> dict[str, Any]:
@@ -830,10 +660,8 @@ class SweepService:
         return payload
 
     def health(self) -> dict[str, Any]:
+        stats = self.executor.stats
         with self._cond:
-            stats = SweepStats()
-            stats.merge(self._stats_base)
-            stats.merge(self.executor.stats)
             active = sum(
                 1
                 for task in self._tasks.values()
@@ -852,8 +680,6 @@ class SweepService:
                 "worker": {
                     "alive": worker.is_alive() if worker is not None else False,
                     "pids": self.executor.worker_pids(),
-                    "rebuilds": self.worker_rebuilds,
-                    "last_rebuild_reason": self._last_rebuild_reason,
                 },
                 "overload": self.admission.snapshot(),
                 "stats": {
@@ -1129,7 +955,6 @@ def serve(
     default_share: int = DEFAULT_SHARE,
     overload: Optional[OverloadPolicy] = None,
     drain_grace_s: float = 30.0,
-    worker_hang_timeout_s: Optional[float] = None,
     verbose: bool = False,
 ) -> int:
     """Blocking entry point for ``repro serve``; returns an exit code.
@@ -1148,7 +973,6 @@ def serve(
         default_share=default_share,
         overload=overload,
         drain_grace_s=drain_grace_s,
-        worker_hang_timeout_s=worker_hang_timeout_s,
         verbose=verbose,
     )
     server = ServiceServer(service, host=host, port=port)

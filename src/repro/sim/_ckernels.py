@@ -29,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -226,33 +227,36 @@ def _cache_path() -> str:
 
 
 def _compile(path: str) -> bool:
-    """Compile the kernel source to ``path``; atomic, race-tolerant."""
+    """Compile the kernel source to ``path``; atomic, race-tolerant.
+
+    The source is compiled under one fixed file name (the object embeds
+    it) in a private directory, so the same source always yields the
+    same ``.so`` bytes.
+    """
     cc = os.environ.get("CC", "cc")
-    fd, src = tempfile.mkstemp(suffix=".c", prefix="repro-ckernels-")
+    work = tempfile.mkdtemp(
+        prefix="repro-ckernels-", dir=os.path.dirname(path) or None
+    )
     try:
-        with os.fdopen(fd, "w") as f:
+        with open(os.path.join(work, "repro-ckernels.c"), "w") as f:
             f.write(_C_SOURCE)
-        out = src + ".so"
         # -ffp-contract=off: the energy replay must round every multiply
         # and divide exactly as CPython does; FMA fusion would not.
         cmd = [
             cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-            src, "-o", out,
+            "repro-ckernels.c", "-o", "repro-ckernels.so",
         ]
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
+            cmd, cwd=work, capture_output=True, text=True, timeout=120
         )
         if proc.returncode != 0:
             return False
-        os.replace(out, path)
+        os.replace(os.path.join(work, "repro-ckernels.so"), path)
         return True
     except (OSError, subprocess.SubprocessError):
         return False
     finally:
-        try:
-            os.unlink(src)
-        except OSError:
-            pass
+        shutil.rmtree(work, ignore_errors=True)
 
 
 #: Both bindings expose the same calling convention: every pointer

@@ -104,6 +104,13 @@ def wedged_cell(spec, machine_dict=None):
     return simulate_cell(spec, machine_dict)
 
 
+def exiting_cell(spec, machine_dict=None):
+    """``SystemExit`` on ``cata``; every other policy simulates."""
+    if spec.policy == "cata":
+        raise SystemExit("cell called exit")
+    return simulate_cell(spec, machine_dict)
+
+
 def broken_cell(spec, machine_dict=None):
     """Deterministic failure on ``cata``; every other policy simulates."""
     if spec.policy == "cata":

@@ -332,9 +332,23 @@ class TestRunnerClose:
         with GridRunner(scale=0.05, cache_dir=str(tmp_path), jobs=2) as runner:
             first = runner.run_one("swaptions", "fifo", 8)
             journal = runner.executor.journal
-            assert journal is not None and journal._fh is not None
-        assert journal._fh is None
+            assert journal is not None and journal._log._fh is not None
+        assert journal._log._fh is None
         assert runner.executor._closed
         # The memo still answers, and a second close is harmless.
         assert runner.run_one("swaptions", "fifo", 8) is first
         runner.close()
+
+    def test_closed_runner_simulates_nothing(self, tmp_path):
+        with GridRunner(scale=0.05, cache_dir=str(tmp_path), jobs=2) as runner:
+            first = runner.run_one("swaptions", "fifo", 8)
+        # A cold cell is refused inline too (a one-cell batch never uses
+        # the pool), and nothing reaches the cache.
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.run_one("swaptions", "cats_sa", 16)
+        assert len(runner.executor.cache) == 1
+        # The memo and the disk cache still answer.
+        assert runner.run_one("swaptions", "fifo", 8) is first
+        with GridRunner(scale=0.05, cache_dir=str(tmp_path)) as other:
+            other.run_one("swaptions", "cata", 8)
+        assert runner.run_one("swaptions", "cata", 8).tasks_executed > 0

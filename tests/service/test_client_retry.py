@@ -2,11 +2,13 @@
 override, retry budget, typed protocol errors on malformed responses,
 and the circuit breaker — with injected sleep/clock, so no test waits."""
 
+import random
 import socket
 import threading
 
 import pytest
 
+from repro.harness.executor import RetryPolicy
 from repro.service.client import (
     CircuitBreaker,
     CircuitOpenError,
@@ -48,6 +50,19 @@ class TestBackoffSchedule:
             base = min(8.0, 1.0 * 2 ** (attempt - 1))
             # Jitter keeps each delay in [base/2, base].
             assert base / 2 <= delay <= base
+
+    def test_client_and_executor_share_one_backoff(self):
+        client = ClientRetryPolicy(
+            max_attempts=8, backoff_base_s=0.5, backoff_cap_s=4.0,
+            jitter_seed=7,
+        )
+        executor = RetryPolicy(
+            backoff_base_s=0.5, backoff_cap_s=4.0, jitter_seed=7
+        )
+        rng = random.Random(executor.jitter_seed)
+        assert client.schedule() == [
+            executor.backoff_s(attempt, rng) for attempt in range(1, 8)
+        ]
 
     def test_retries_follow_the_published_schedule(self):
         policy = ClientRetryPolicy(max_attempts=3, jitter_seed=5)

@@ -1,7 +1,8 @@
-"""Graceful-drain and watchdog tests: no accepted job is ever lost to a
-drain (the journal resumes the remainder), a worker that misses the drain
-deadline surfaces a hard error, and dead/hung worker threads are rebuilt
-by the watchdog.
+"""Graceful-drain and worker-failure tests: no accepted job is ever lost
+to a drain (the journal resumes the remainder), a worker that misses the
+drain deadline surfaces a hard error, a cell that overruns the cell
+timeout has its worker killed and fails its job, and a batch that raises
+anything fails its own cells while the worker thread keeps serving.
 
 Injected cells run in the daemon's worker processes, so they come from
 ``tests.cells`` and talk to the test through sentinel files.
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from repro.harness.executor import CellSpec
+from repro.harness.executor import RetryPolicy, simulate_cell
 from repro.service.overload import DrainingError
 from repro.service.server import ServiceShutdownError, SweepService
 from tests import cells
@@ -78,127 +79,76 @@ class TestDrainUnderLoad:
         assert cells.wait_for("entered", timeout_s=30.0)
         journal = svc.journal
         journal.record("k" * 64, "earlier cell", 0.5)
+        assert journal._log._fh is not None
+        assert svc._jobs_log._fh is not None
         with pytest.raises(ServiceShutdownError, match="failed to stop"):
             svc.stop(timeout_s=0.2)
         assert "failed to stop" in capsys.readouterr().err
-        # The journal is closed on the stuck path too.
-        assert journal._fh is None
+        # Both logs are closed on the stuck path too.
+        assert journal._log._fh is None
+        assert svc._jobs_log._fh is None
         # The missed deadline killed the worker wedged in the cell.
         assert cells.wait_gone([int(cells.read("entered"))])
         cells.touch("release")
 
 
-class TestRetiredJournal:
-    def test_rebuild_closes_the_retired_journal_for_good(self, tmp_path):
+class TestWorkerFailures:
+    def test_batch_take_error_keeps_the_worker(self, tmp_path):
         svc = SweepService(str(tmp_path / "state"), jobs=1)
-        svc.start()
-        retired = svc.journal
-        try:
-            retired.record("a" * 64, "cell a", 0.5)
-            assert retired._fh is not None
-            with svc._cond:
-                svc._rebuild_worker_locked("test")
-            assert svc.journal is not retired
-            # The rebuild closed the retired handle instead of leaking it.
-            assert retired._fh is None
-        finally:
-            svc.stop()
-        assert svc.journal._fh is None
-        with open(retired.path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        # The abandoned worker thread finishing a cell late: the closed
-        # journal drops the line instead of reopening the file.
-        retired.record("b" * 64, "late cell", 0.5)
-        assert retired._fh is None
-        with open(retired.path, encoding="utf-8") as fh:
-            assert fh.readlines() == lines
-        assert len(lines) == 1
-
-
-class TestWatchdog:
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_dead_worker_thread_is_rebuilt(self, tmp_path):
-        svc = SweepService(
-            str(tmp_path / "state"), jobs=1, watchdog_interval_s=0.05
-        )
         original = svc._take_batch_locked
 
         def bomb():
-            # One-shot: the first dispatch kills the worker thread with an
-            # unexpected error; later generations behave normally.
+            # One-shot: the first dispatch raises an unexpected error.
             svc._take_batch_locked = original
-            raise RuntimeError("synthetic worker death")
+            raise RuntimeError("synthetic dispatch error")
 
         svc._take_batch_locked = bomb
         svc.start()
         receipt = svc.submit(_grid(policies=("fifo",)))
         try:
-            status = svc.wait_settled(receipt["job"], 120.0)
-            assert status["state"] == "done"
-            health = svc.health()
-            assert health["worker"]["rebuilds"] >= 1
-            assert health["worker"]["alive"] is True
-            assert "died" in health["worker"]["last_rebuild_reason"]
+            assert svc.wait_settled(receipt["job"], 120.0)["state"] == "done"
+            assert svc.health()["worker"]["alive"] is True
         finally:
             svc.stop()
 
-    def test_hung_worker_is_abandoned_and_cell_requeued(
-        self, tmp_path, cell_dir
-    ):
+    def test_exiting_cell_fails_only_its_job(self, tmp_path, cell_dir):
+        svc = SweepService(str(tmp_path / "state"), jobs=1)
+        svc.executor.cell_fn = cells.exiting_cell
+        svc.start()
+        try:
+            # The pool hands the worker process's SystemExit back through
+            # the cell's future; it fails the job, not the worker thread.
+            bad = svc.submit(_grid(policies=("cata",)))
+            assert svc.wait_settled(bad["job"], 60.0)["state"] == "failed"
+            [row] = svc.status(bad["job"], detail=True)["detail"]
+            assert row["error"].startswith("SystemExit")
+            ok = svc.submit(_grid(policies=("fifo",)))
+            assert svc.wait_settled(ok["job"], 60.0)["state"] == "done"
+            assert svc.health()["worker"]["alive"] is True
+        finally:
+            svc.stop()
+
+    def test_wedged_cell_fails_by_the_cell_timeout(self, tmp_path, cell_dir):
         svc = SweepService(
             str(tmp_path / "state"),
             jobs=1,
-            watchdog_interval_s=0.05,
-            worker_hang_timeout_s=0.4,
+            retry=RetryPolicy(max_attempts=2, cell_timeout_s=0.5),
         )
-        # Only the first worker generation hangs; the rebuilt worker gets
-        # a fresh executor with the default (working) cell_fn.
-        retired = svc.executor
-        retired.cell_fn = cells.wedged_cell
+        svc.executor.cell_fn = cells.wedged_cell
         svc.start()
-        receipt = svc.submit(_grid(policies=("fifo",)))
         try:
             begun = time.monotonic()
-            status = svc.wait_settled(receipt["job"], 120.0)
-            elapsed = time.monotonic() - begun
-            assert status["state"] == "done"
-            # Completed by the rebuilt worker, not by waiting out the hang.
-            assert elapsed < 15.0
-            health = svc.health()
-            assert health["worker"]["rebuilds"] >= 1
-            assert "stale" in health["worker"]["last_rebuild_reason"]
-
-            # The rebuild killed the retired pool: its only worker is the
-            # one wedged in the cell.
-            assert svc.executor is not retired
+            receipt = svc.submit(_grid(policies=("fifo",)))
+            status = svc.wait_settled(receipt["job"], 15.0)
+            assert status["state"] == "failed"
+            assert time.monotonic() - begun < 15.0
+            assert svc.health()["stats"]["timeouts"] == 2
+            # Each timeout killed the worker wedged in the cell.
             assert cells.wait_gone([int(cells.read("entered"))])
-            assert retired.worker_pids() == []
-            # The abandoned thread's pool recovery must not fork a new one.
-            uncached = CellSpec(
-                workload="swaptions", policy="fifo", fast=8, seed=2, scale=SCALE
-            )
-            with pytest.raises(RuntimeError, match="closed"):
-                retired.run_cells([uncached])
+            svc.executor.cell_fn = simulate_cell
+            ok = svc.submit(_grid(policies=("cata",)))
+            assert svc.wait_settled(ok["job"], 60.0)["state"] == "done"
+            assert svc.health()["worker"]["alive"] is True
         finally:
             cells.touch("release")
-            svc.stop()
-
-    def test_idle_worker_is_never_flagged_as_hung(self, tmp_path):
-        svc = SweepService(
-            str(tmp_path / "state"),
-            jobs=1,
-            watchdog_interval_s=0.05,
-            worker_hang_timeout_s=0.1,
-        )
-        svc.start()
-        # Idle for well past the hang timeout: a waiting worker heartbeats
-        # and has no unresolved work, so no rebuild may trigger.
-        time.sleep(0.5)
-        try:
-            assert svc.health()["worker"]["rebuilds"] == 0
-            receipt = svc.submit(_grid(policies=("fifo",)))
-            assert svc.wait_settled(receipt["job"], 120.0)["state"] == "done"
-        finally:
             svc.stop()

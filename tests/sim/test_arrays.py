@@ -7,6 +7,7 @@ historical object-walking reference must be indistinguishable.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -256,3 +257,17 @@ def test_machine_variant_changes_energy_but_both_backends_agree():
         assert runs[True] == runs[False]
         per_machine[name] = runs[True]
     assert per_machine["base"]["total"] != per_machine["hot"]["total"]
+
+
+def test_compile_is_byte_reproducible(tmp_path):
+    """The same kernel source compiles to the same ``.so`` bytes, so a
+    manifest's library hash names the kernels that ran."""
+    paths = [tmp_path / "a" / "kernels.so", tmp_path / "b" / "kernels.so"]
+    for path in paths:
+        path.parent.mkdir()
+        if not _ckernels._compile(str(path)):
+            pytest.skip("no C compiler on this host")
+    digests = {hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    assert len(digests) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["kernels.so"]
