@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..sim.trace import ReconfigRecord
 from .budget import Criticality, Decision
 from .rsm import ReconfigurationSupportModule
 
@@ -156,15 +155,13 @@ class SoftwareCataManager:
 
             def _record_and_finish() -> None:
                 system.trace.record_reconfig(
-                    ReconfigRecord(
-                        initiator_core=worker.core_id,
-                        start_ns=start_ns,
-                        end_ns=system.sim.now,
-                        accelerated_core=decision.accel,
-                        decelerated_core=decision.decel,
-                        mechanism="software",
-                        lock_wait_ns=lock_wait,
-                    )
+                    initiator_core=worker.core_id,
+                    start_ns=start_ns,
+                    end_ns=system.sim.now,
+                    accelerated_core=decision.accel,
+                    decelerated_core=decision.decel,
+                    mechanism="software",
+                    lock_wait_ns=lock_wait,
                 )
                 rsm.lock.release()
                 core.set_spinning(False)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.trace import ReconfigRecord
 from .budget import Criticality, Decision
 from .rsu import RsuCataManager
 
@@ -88,14 +87,12 @@ class RsuTurboManager(RsuCataManager):
         if decision.accel is not None:
             system.dvfs.request(decision.accel, system.machine.fast)
         system.trace.record_reconfig(
-            ReconfigRecord(
-                initiator_core=core_id,
-                start_ns=now,
-                end_ns=now,
-                accelerated_core=decision.accel,
-                decelerated_core=decision.decel,
-                mechanism="rsu",
-            )
+            initiator_core=core_id,
+            start_ns=now,
+            end_ns=now,
+            accelerated_core=decision.accel,
+            decelerated_core=decision.decel,
+            mechanism="rsu",
         )
 
     def on_core_failed(self, core_id: int) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..sim.config import DVFSLevel, MachineConfig
-from ..sim.trace import ReconfigRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.system import RuntimeSystem
@@ -203,14 +202,12 @@ class MultiLevelRsuManager:
         ups = [c for c, lv in changes if lv > 0]
         downs = [c for c, lv in changes if lv == 0]
         system.trace.record_reconfig(
-            ReconfigRecord(
-                initiator_core=initiator,
-                start_ns=now,
-                end_ns=now,
-                accelerated_core=ups[0] if ups else None,
-                decelerated_core=downs[0] if downs else None,
-                mechanism="rsu",
-            )
+            initiator_core=initiator,
+            start_ns=now,
+            end_ns=now,
+            accelerated_core=ups[0] if ups else None,
+            decelerated_core=downs[0] if downs else None,
+            mechanism="rsu",
         )
 
     def _notify(self, worker: "Worker", op: Callable[[], None], proceed: Proceed) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..sim.engine import US
-from ..sim.trace import ReconfigRecord
 from .budget import AccelStateTable, Criticality, Decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,14 +83,12 @@ class OndemandGovernor:
                 cid, system.machine.fast if d.accel is not None else system.machine.slow
             )
             system.trace.record_reconfig(
-                ReconfigRecord(
-                    initiator_core=cid,
-                    start_ns=system.sim.now,
-                    end_ns=system.sim.now,
-                    accelerated_core=d.accel,
-                    decelerated_core=d.decel,
-                    mechanism="ondemand",
-                )
+                initiator_core=cid,
+                start_ns=system.sim.now,
+                end_ns=system.sim.now,
+                accelerated_core=d.accel,
+                decelerated_core=d.decel,
+                mechanism="ondemand",
             )
         if not system.done:
             system.sim.schedule(self.sampling_interval_ns, self._tick)

@@ -33,7 +33,7 @@ from ..sim.config import DVFSLevel, MachineConfig
 from ..sim.dvfs import DVFSController
 from ..sim.engine import Simulator
 from ..sim.locks import SimLock
-from ..sim.trace import ReconfigRecord, Trace
+from ..sim.trace import Trace
 from .budget import AccelStateTable, Criticality, Decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -147,14 +147,12 @@ class RuntimeSupportUnit:
         if decision.accel is not None:
             self._dvfs.request(decision.accel, self._accel_level)
         self._trace.record_reconfig(
-            ReconfigRecord(
-                initiator_core=initiator,
-                start_ns=now,
-                end_ns=now,
-                accelerated_core=decision.accel,
-                decelerated_core=decision.decel,
-                mechanism="rsu",
-            )
+            initiator_core=initiator,
+            start_ns=now,
+            end_ns=now,
+            accelerated_core=decision.accel,
+            decelerated_core=decision.decel,
+            mechanism="rsu",
         )
 
 
@@ -315,15 +313,13 @@ class RsuCataManager:
 
             def _record_and_finish() -> None:
                 system.trace.record_reconfig(
-                    ReconfigRecord(
-                        initiator_core=worker.core_id,
-                        start_ns=start_ns,
-                        end_ns=system.sim.now,
-                        accelerated_core=decision.accel,
-                        decelerated_core=decision.decel,
-                        mechanism="software-fallback",
-                        lock_wait_ns=lock_wait,
-                    )
+                    initiator_core=worker.core_id,
+                    start_ns=start_ns,
+                    end_ns=system.sim.now,
+                    accelerated_core=decision.accel,
+                    decelerated_core=decision.decel,
+                    mechanism="software-fallback",
+                    lock_wait_ns=lock_wait,
                 )
                 lock.release()
                 core.set_spinning(False)

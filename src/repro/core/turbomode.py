@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..sim.trace import ReconfigRecord
 from .budget import AccelStateTable, Criticality, Decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,14 +107,12 @@ class TurboModeManager:
         if decision.accel is not None:
             system.dvfs.request(decision.accel, system.machine.fast)
         system.trace.record_reconfig(
-            ReconfigRecord(
-                initiator_core=initiator,
-                start_ns=now,
-                end_ns=now,
-                accelerated_core=decision.accel,
-                decelerated_core=decision.decel,
-                mechanism="turbomode",
-            )
+            initiator_core=initiator,
+            start_ns=now,
+            end_ns=now,
+            accelerated_core=decision.accel,
+            decelerated_core=decision.decel,
+            mechanism="turbomode",
         )
 
     # ------------------------------------------------ runtime hooks (noop)

@@ -51,6 +51,7 @@ Per-cell wall-clock timings and hit/miss/recovery counters accumulate in
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -65,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from ..core.policies import run_policy, run_scenario_policy
+from ..runtime.program import Program
 from ..runtime.system import RunResult
 from ..sim.config import MachineConfig
 from ..sim.serialize import machine_from_dict, machine_to_dict
@@ -143,6 +145,30 @@ class CellSpec:
         )
 
 
+#: Programs kept by :func:`_cell_program`.  A grid runs each (workload,
+#: scale, seed) program once per policy and budget, in workload-major
+#: order, so a process meets a few programs at a time; this many also
+#: covers a multi-seed grid's interleaved seeds.
+PROGRAM_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def _cell_program(
+    workload: str, scale: float, seed: int, machine: Optional[MachineConfig]
+) -> Program:
+    """The closed-loop program of a cell, built once per process for all
+    the cells that share it.
+
+    Sharing is sound because a run never mutates its program (the
+    shared-program test in ``tests/harness/test_program_memo.py`` checks
+    every policy, with and without faults).  The memo sits here rather
+    than in :func:`~repro.workloads.build_program`, whose other callers
+    get a program of their own to modify.  It is filled only by the cells
+    this process simulates.
+    """
+    return build_program(workload, scale=scale, seed=seed, machine=machine)
+
+
 def simulate_cell(
     spec: CellSpec,
     machine_dict: Optional[dict[str, Any]] = None,
@@ -166,9 +192,7 @@ def simulate_cell(
             faults=spec.faults,
         )
         return result, time.perf_counter() - t0
-    program = build_program(
-        spec.workload, scale=spec.scale, seed=spec.seed, machine=machine
-    )
+    program = _cell_program(spec.workload, spec.scale, spec.seed, machine)
     result = run_policy(
         program,
         spec.policy,

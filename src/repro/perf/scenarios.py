@@ -170,10 +170,12 @@ def _tdg_relax(
 def _energy_sweep(n_transitions: int = 200_000, cores: int = 32) -> Measurement:
     """Core power-state churn through the interval-batched accountant.
 
-    Cycles every core through the five interned states a real run visits
-    (fast/slow busy, idle, halt, sleep) on a monotone clock.  Crosses the
-    periodic flush threshold several times, so the scenario times the full
-    append -> replay-sweep -> finalize pipeline, not just the appends.
+    Cycles every core through the five states a real run visits
+    (fast/slow busy, idle, halt, sleep) on a monotone clock, through
+    ``EnergyAccountant.transition``, the call a core makes per
+    transition.  Crosses the periodic flush threshold several times, so
+    the scenario times the full append -> replay-sweep -> finalize
+    pipeline, not just the appends.
     """
     machine = default_machine()
     sim = Simulator()
@@ -185,11 +187,12 @@ def _energy_sweep(n_transitions: int = 200_000, cores: int = 32) -> Measurement:
         CoreState(level=machine.slow, cstate="C1", activity=0.0, busy=False),
         CoreState(level=machine.fast, cstate="C3", activity=0.0, busy=False),
     )
-    set_state = acct.set_state
+    power = [acct.resolve(s) for s in states]
+    transition = acct.transition
     t0 = time.perf_counter()
     for i in range(n_transitions):
         sim._now += 50.0
-        set_state(i % cores, states[i % 5])
+        transition(i % cores, power[i % 5])
     acct.finalize()
     wall = time.perf_counter() - t0
     assert acct.total_energy_j > 0.0

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..sim.core_model import Core
-from ..sim.trace import TaskSpan
 from .task import Task
 
 
@@ -235,16 +234,14 @@ class Worker:
         self.state = "finishing"
         now = self.system.sim.now
         self.system.trace.record_task(
-            TaskSpan(
-                task_id=task.task_id,
-                task_type=task.ttype.name,
-                core_id=self.core_id,
-                start_ns=self._start_ns,
-                end_ns=now,
-                critical=task.critical,
-                accelerated_at_start=self._accelerated_at_start,
-                tenant=task.tenant_id,
-            )
+            task.task_id,
+            task.ttype.name,
+            self.core_id,
+            self._start_ns,
+            now,
+            task.critical,
+            self._accelerated_at_start,
+            task.tenant_id,
         )
         self.system.ready_context_core = self.core_id
         newly_ready = self.system.tdg.mark_finished(task, now)

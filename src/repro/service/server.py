@@ -784,6 +784,11 @@ class ServiceServer:
                     sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
+            # A connection the loop accepted just before the shutdown
+            # attaches to the server in a task of its own; one loop turn
+            # lets it run.  After close() that task fails, and asyncio
+            # then never closes the accepted socket.
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None

@@ -11,7 +11,7 @@ objects when the compiled kernels (:mod:`repro.sim._ckernels`) load:
   visit-budget semantics, identical ``bl_edges_visited`` counts.
 * :class:`TransitionLog` — append-only flat ``(t, core, power, bucket)``
   buffers that let :class:`~repro.sim.energy.EnergyAccountant` integrate
-  energy in one C sweep instead of accruing on every ``set_state`` edge.
+  energy in one C sweep instead of accruing on every ``transition``.
 
 Each host runs exactly one path: these C kernels when the library
 builds, otherwise the object-walk/eager reference in
@@ -335,14 +335,14 @@ class TransitionLog:
 
     Four parallel flat buffers — timestamp, core id, resolved power
     draw, resolved breakdown-bucket index — appended by
-    ``EnergyAccountant.set_state`` and drained in order by its C replay
+    ``EnergyAccountant.transition`` and drained in order by its C replay
     sweep.  Replaying in append order reproduces the exact float
     summation order of the eager per-edge accrual (global chronological
     interleaving across cores), so prefix flushes at sync points are
     bitwise-neutral.
 
     Power and bucket are resolved *at append time*: they are pure
-    functions of the (interned) core state, so resolution order cannot
+    functions of the core state's value, so resolution order cannot
     change any value, and storing scalars keeps the log free of object
     references.
     """

@@ -18,7 +18,16 @@ via :meth:`run_overhead`, during which it is busy but makes no task progress.
 
 All power-relevant attribute changes funnel through :meth:`_sync_energy`, so
 the :class:`~repro.sim.energy.EnergyAccountant` sees an exact piecewise-
-constant power signal.
+constant power signal.  A core never prices a state itself: it keeps the
+accountant's process-wide table of resolved ``(watts, bucket)`` pairs for
+its current DVFS level, so a transition is one lookup keyed ``(C-state,
+busy, activity)`` plus :meth:`EnergyAccountant.transition
+<repro.sim.energy.EnergyAccountant.transition>`.  The first time the
+process meets a state, the miss builds (and so validates) its
+:class:`~repro.sim.power.CoreState` and resolves it.
+
+C-state change records are built by :meth:`Trace.record_cstate
+<repro.sim.trace.Trace.record_cstate>` only when the trace is enabled.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .dvfs import DVFSController
 from .energy import EnergyAccountant
 from .engine import Event, Simulator
 from .power import CoreState
-from .trace import CStateRecord, Trace
+from .trace import Trace
 
 __all__ = ["ExecutableWork", "Core", "CoreError"]
 
@@ -105,10 +114,10 @@ class Core:
         # already required for correctness — progress re-solving would use
         # the wrong rate otherwise.
         self._level: DVFSLevel = dvfs.level_of(core_id)
-        #: Interned CoreState per (level, cstate, activity, busy): cores
-        #: cycle between a handful of states, and constructing + validating
-        #: a fresh frozen dataclass per edge dominated _sync_energy.
-        self._state_cache: dict[tuple, CoreState] = {}
+        #: Resolved (watts, bucket) per (cstate, busy, activity) at
+        #: ``_level``, refreshed with it in on_level_changed().
+        self._power_states = energy.power_states(self._level)
+        self._transition = energy.transition
         self._sync_energy()
 
     # ------------------------------------------------------------- queries
@@ -139,35 +148,23 @@ class Core:
 
     # ------------------------------------------------------ state plumbing
     def _sync_energy(self) -> None:
-        # id(level) rather than the level itself: DVFSLevel is a frozen
-        # dataclass whose generated __hash__ walks every field — far too
-        # slow for this call rate.  The cached CoreState value keeps the
-        # level object alive, so its id cannot be recycled while the entry
-        # exists.
-        key = (id(self._level), self._cstate, self._activity, self._busy)
-        state = self._state_cache.get(key)
-        if state is None:
-            state = CoreState(
-                level=self._level,
-                cstate=self._cstate,
-                activity=self._activity,
-                busy=self._busy,
+        power = self._power_states.get((self._cstate, self._busy, self._activity))
+        if power is None:
+            power = self._energy.resolve(
+                CoreState(
+                    level=self._level,
+                    cstate=self._cstate,
+                    activity=self._activity,
+                    busy=self._busy,
+                )
             )
-            self._state_cache[key] = state
-        self._energy.set_state(self.core_id, state)
+        self._transition(self.core_id, power)
 
     def set_cstate(self, new_state: str) -> None:
         """Change ACPI C-state; used by the C-state controller and blocking."""
         if new_state == self._cstate:
             return
-        self._trace.record_cstate(
-            CStateRecord(
-                core_id=self.core_id,
-                time_ns=self._sim.now,
-                old_state=self._cstate,
-                new_state=new_state,
-            )
-        )
+        self._trace.record_cstate(self.core_id, self._sim.now, self._cstate, new_state)
         self._cstate = new_state
         self._sync_energy()
 
@@ -178,6 +175,7 @@ class Core:
         point, so the catch-up advance must use the old rate.
         """
         self._level = self._dvfs.level_of(self.core_id)
+        self._power_states = self._energy.power_states(self._level)
         if self._exec is not None and not self._exec.blocked:
             self._advance_progress(level=old_level)
             self._reschedule_completion()

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .config import DVFSLevel, MachineConfig
 from .engine import Event, Simulator
-from .trace import FreqChangeRecord, Trace
+from .trace import Trace
 
 __all__ = ["DVFSController"]
 
@@ -129,14 +129,7 @@ class DVFSController:
             self._level[core_id] = level
             self._pending_target[core_id] = None
             self._pending_event[core_id] = None
-            self._trace.record_freq_change(
-                FreqChangeRecord(
-                    core_id=core_id,
-                    time_ns=self._sim.now,
-                    old_level=old.name,
-                    new_level=level.name,
-                )
-            )
+            self._trace.record_freq_change(core_id, self._sim.now, old.name, level.name)
             for listener in self._listeners:
                 listener(core_id, old, level)
             if on_complete is not None:

@@ -5,11 +5,23 @@ activity, busy flag) the accountant closes the open interval at the old power
 draw and opens a new one.  Total energy is therefore an exact integral of the
 piecewise-constant power signal — no sampling error, fully deterministic.
 
+Where power and buckets are built: a core state is priced
+(:meth:`PowerModel.core_w <repro.sim.power.PowerModel.core_w>`) and
+classified into a breakdown bucket once per *process*, the first time any
+accountant meets it, by :meth:`EnergyAccountant.resolve`; that is also
+where its :class:`~repro.sim.power.CoreState` is validated.  The result,
+a ``(watts, bucket index)`` pair, lives in a module-level table keyed by
+value — power config, DVFS level, then ``(C-state, busy, activity)`` —
+so later cells on the same machine never resolve it again.  A
+:class:`~repro.sim.core_model.Core` holds the table of its current level
+and hands each transition's pair to :meth:`EnergyAccountant.transition`,
+the one per-transition entry point.
+
 Two integration modes produce bit-identical results (pinned by
 tests/golden and ``tests/sim/test_arrays.py``):
 
 * **interval-batched** (default when the compiled kernels load; see
-  :func:`repro.sim.arrays.kernels_enabled`): ``set_state`` only appends
+  :func:`repro.sim.arrays.kernels_enabled`): ``transition`` only appends
   ``(t, core, power, bucket)`` to the flat
   :class:`~repro.sim.arrays.TransitionLog`; the integration runs as one
   C replay sweep at :meth:`finalize` — and at any earlier sync point (a
@@ -23,7 +35,7 @@ tests/golden and ``tests/sim/test_arrays.py``):
   contraction off, so every multiply/divide rounds exactly as CPython
   does.
 * **eager** (``REPRO_ARRAY_KERNELS=0``, or no C compiler): the
-  historical per-edge accrual in ``set_state`` itself.
+  historical per-edge accrual in ``transition`` itself.
 
 All accumulators live in ``array('d')`` buffers shared by both modes —
 a C double round-trips Python floats exactly, so the representation is
@@ -39,6 +51,7 @@ from array import array
 from typing import Optional
 
 from . import _ckernels, arrays
+from .config import DVFSLevel, PowerModelConfig
 from .engine import SEC, Simulator
 from .power import CoreState, PowerModel
 
@@ -47,6 +60,15 @@ __all__ = ["EnergyAccountant"]
 #: Replay the transition log whenever it grows past this many entries —
 #: bounds memory on long cells without changing any float (prefix sums).
 _FLUSH_THRESHOLD = 65536
+
+#: ``(C-state, busy, activity)`` -> ``(watts, bucket index)`` at one level.
+PowerStates = dict[tuple[str, bool, float], tuple[float, int]]
+
+#: Every core state this process has resolved, keyed by value: power
+#: config, then DVFS level, then ``(C-state, busy, activity)``.  A run
+#: visits a handful of states (levels x C-states x task activities), so
+#: the table stays small and is never pruned.
+_POWER_STATES: dict[PowerModelConfig, dict[DVFSLevel, PowerStates]] = {}
 
 
 class EnergyAccountant:
@@ -79,18 +101,8 @@ class EnergyAccountant:
         self._finalized_at_ns: float | None = None
         self._bucket_energy = array("d", bytes(8 * len(self.BUCKETS)))
         self._bucket_time = array("d", bytes(8 * len(self.BUCKETS)))
-        #: (watts, bucket_index, state) per distinct CoreState *object*.
-        #: A run only ever visits a handful of states per core (level ×
-        #: C-state × activity), while set_state fires on every
-        #: task/overhead/C-state edge — memoizing the power model here
-        #: removes the whole core_w()/_bucket_of() pipeline from the
-        #: inner loop.  Keyed by id(state) rather than the state: the
-        #: dataclass-generated __hash__/__eq__ walk every field
-        #: (including the nested DVFSLevel) and dominated this path.
-        #: Cores intern their states, and the cached tuple holds the
-        #: state itself, so the id cannot be recycled while the entry
-        #: exists.
-        self._power_bucket: dict[int, tuple[float, int, CoreState]] = {}
+        #: This power config's resolved states, per level (process-wide).
+        self._levels = _POWER_STATES.setdefault(model.config, {})
         self._batched = arrays.kernels_enabled(batched)
         self._log = arrays.TransitionLog()
 
@@ -105,35 +117,45 @@ class EnergyAccountant:
             return "idle_c0"
         return "busy_fast" if state.level.name == "fast" else "busy_slow"
 
-    def _resolve(self, state: CoreState) -> tuple[float, int, CoreState]:
-        """(watts, bucket_index, state) of a state missing from the memo."""
-        entry = (
-            self._model.core_w(state),
-            self.BUCKETS.index(self._bucket_of(state)),
-            state,
-        )
-        self._power_bucket[id(state)] = entry
-        return entry
+    def power_states(self, level: DVFSLevel) -> PowerStates:
+        """The resolved states at ``level``, keyed ``(cstate, busy,
+        activity)``: shared by every accountant of this process on the same
+        power config.  A key missing from it goes through :meth:`resolve`."""
+        table = self._levels.get(level)
+        if table is None:
+            table = self._levels[level] = {}
+        return table
+
+    def resolve(self, state: CoreState) -> tuple[float, int]:
+        """``(watts, bucket index)`` of ``state``, priced the first time
+        this process meets it and looked up afterwards."""
+        table = self.power_states(state.level)
+        key = (state.cstate, state.busy, state.activity)
+        power = table.get(key)
+        if power is None:
+            power = table[key] = (
+                self._model.core_w(state),
+                self.BUCKETS.index(self._bucket_of(state)),
+            )
+        return power
 
     # ------------------------------------------------------------- updates
-    def set_state(self, core_id: int, state: CoreState) -> None:
-        """Record that ``core_id`` is in ``state`` from now on."""
-        entry = self._power_bucket.get(id(state))
-        if entry is None:
-            entry = self._resolve(state)
+    def transition(self, core_id: int, power: tuple[float, int]) -> None:
+        """Record that ``core_id`` draws ``power`` — a ``(watts, bucket
+        index)`` pair from :meth:`resolve` — from now on."""
         if self._batched:
             log = self._log
             log.t.append(self._sim._now)
             log.core.append(core_id)
-            log.power.append(entry[0])
-            log.bidx.append(entry[1])
+            log.power.append(power[0])
+            log.bidx.append(power[1])
             if len(log.t) >= _FLUSH_THRESHOLD:
                 self._sync()
             return
         self._accrue(core_id)
         self._has_state[core_id] = 1
-        self._core_power[core_id] = entry[0]
-        self._core_bidx[core_id] = entry[1]
+        self._core_power[core_id] = power[0]
+        self._core_bidx[core_id] = power[1]
 
     def _accrue(self, core_id: int) -> None:
         # Reads the simulator clock directly (not through the `now`
@@ -156,7 +178,7 @@ class EnergyAccountant:
         kernel.
 
         One sweep over the flat buffers, performing exactly the additions
-        the eager path would have performed at each ``set_state`` edge, in
+        the eager path would have performed at each ``transition``, in
         the same order.  No-op when the log is empty (eager mode, or
         nothing pending).
         """

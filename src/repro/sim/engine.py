@@ -176,7 +176,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.at(self._now + delay, callback, payload)
+        # The body of at(), inlined: this is the per-event call.
+        time = self._now + delay
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        ev = Event(time, seq, callback, payload, self)
+        heapq.heappush(self._heap, (time, seq, ev))
+        return ev
 
     def at(self, time: float, callback: Callable[[], None], payload: Any = None) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""

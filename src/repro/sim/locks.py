@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Simulator
-from .trace import LockWaitRecord, Trace
+from .trace import Trace
 
 __all__ = ["SimLock", "LockStats"]
 
@@ -125,13 +125,7 @@ class SimLock:
         self.stats.total_hold_ns += hold
         if self._trace is not None:
             self._trace.record_lock_wait(
-                LockWaitRecord(
-                    lock_name=self.name,
-                    core_id=self._holder,
-                    request_ns=self._request_ns,
-                    grant_ns=self._grant_ns,
-                    release_ns=self._sim.now,
-                )
+                self.name, self._holder, self._request_ns, self._grant_ns, self._sim.now
             )
         self._holder = None
         if self._queue:

@@ -5,9 +5,12 @@ task execution spans, DVFS reconfigurations, lock acquisitions, C-state
 transitions.  The Section V-C reproduction (reconfiguration latency and lock
 contention statistics) is computed entirely from these records.
 
-Recording is cheap (append to lists) and can be disabled wholesale for the
-large benchmark sweeps by constructing ``Trace(enabled=False)`` — counters
-stay live either way because the harness always needs them.
+Where trace records are built: only inside :class:`Trace`'s ``record_*``
+methods, which take a record's fields and build the record object only
+when the trace is enabled.  An untraced run (``Trace(enabled=False)``, the
+large benchmark sweeps) therefore builds no record objects at all; its
+counters stay live either way, because the harness always needs them, and
+add the same floats in the same order as a traced run's.
 
 A trace decoded from JSON (:func:`repro.sim.serialize.trace_from_dict`)
 keeps its record lists as the parsed dicts and builds a list's record
@@ -178,32 +181,81 @@ class Trace:
         return records
 
     # ----------------------------------------------------------- recording
-    def record_task(self, span: TaskSpan) -> None:
+    def record_task(
+        self,
+        task_id: int,
+        task_type: str,
+        core_id: int,
+        start_ns: float,
+        end_ns: float,
+        critical: bool,
+        accelerated_at_start: bool,
+        tenant: Optional[int] = None,
+    ) -> None:
         self.tasks_executed += 1
         if self.enabled:
-            self.task_spans.append(span)
+            self.task_spans.append(
+                TaskSpan(
+                    task_id, task_type, core_id, start_ns, end_ns, critical,
+                    accelerated_at_start, tenant,
+                )
+            )
 
-    def record_reconfig(self, rec: ReconfigRecord) -> None:
+    def record_reconfig(
+        self,
+        initiator_core: int,
+        start_ns: float,
+        end_ns: float,
+        accelerated_core: Optional[int],
+        decelerated_core: Optional[int],
+        mechanism: str,
+        lock_wait_ns: float = 0.0,
+    ) -> None:
         self.reconfig_count += 1
-        self.total_reconfig_latency_ns += rec.latency_ns
+        # ReconfigRecord.latency_ns, without building the record.
+        self.total_reconfig_latency_ns += end_ns - start_ns
         if self.enabled:
-            self.reconfigs.append(rec)
+            self.reconfigs.append(
+                ReconfigRecord(
+                    initiator_core, start_ns, end_ns, accelerated_core,
+                    decelerated_core, mechanism, lock_wait_ns,
+                )
+            )
 
-    def record_lock_wait(self, rec: LockWaitRecord) -> None:
-        self.total_lock_wait_ns += rec.wait_ns
-        if rec.wait_ns > self.max_lock_wait_ns:
-            self.max_lock_wait_ns = rec.wait_ns
+    def record_lock_wait(
+        self,
+        lock_name: str,
+        core_id: int,
+        request_ns: float,
+        grant_ns: float,
+        release_ns: float,
+    ) -> None:
+        # LockWaitRecord.wait_ns, without building the record.
+        wait_ns = grant_ns - request_ns
+        self.total_lock_wait_ns += wait_ns
+        if wait_ns > self.max_lock_wait_ns:
+            self.max_lock_wait_ns = wait_ns
         if self.enabled:
-            self.lock_waits.append(rec)
+            self.lock_waits.append(
+                LockWaitRecord(lock_name, core_id, request_ns, grant_ns, release_ns)
+            )
 
-    def record_cstate(self, rec: CStateRecord) -> None:
+    def record_cstate(
+        self, core_id: int, time_ns: float, old_state: str, new_state: str
+    ) -> None:
         if self.enabled:
-            self.cstate_changes.append(rec)
+            self.cstate_changes.append(
+                CStateRecord(core_id, time_ns, old_state, new_state)
+            )
 
-    def record_freq_change(self, rec: FreqChangeRecord) -> None:
+    def record_freq_change(
+        self, core_id: int, time_ns: float, old_level: str, new_level: str
+    ) -> None:
         self.freq_transition_count += 1
         if self.enabled:
-            self.freq_changes.append(rec)
+            self.freq_changes.append(
+                FreqChangeRecord(core_id, time_ns, old_level, new_level)
+            )
 
     # ---------------------------------------------------------- statistics
     @property

@@ -4,12 +4,12 @@ import pytest
 
 from repro.analysis.attribution import attribute_by_type, render_attribution
 from repro.core.policies import run_policy
-from repro.sim.trace import TaskSpan, Trace
+from repro.sim.trace import Trace
 from repro.workloads import build_program
 
 
-def span(tid, ttype, dur, critical=False, accel=False, core=0, start=0.0):
-    return TaskSpan(
+def record(trace, tid, ttype, dur, critical=False, accel=False, core=0, start=0.0):
+    trace.record_task(
         task_id=tid,
         task_type=ttype,
         core_id=core,
@@ -22,9 +22,9 @@ def span(tid, ttype, dur, critical=False, accel=False, core=0, start=0.0):
 
 def test_aggregation_per_type():
     trace = Trace()
-    trace.record_task(span(0, "a", 100.0, critical=True, accel=True))
-    trace.record_task(span(1, "a", 300.0, critical=True, accel=False))
-    trace.record_task(span(2, "b", 1000.0))
+    record(trace, 0, "a", 100.0, critical=True, accel=True)
+    record(trace, 1, "a", 300.0, critical=True, accel=False)
+    record(trace, 2, "b", 1000.0)
     rows = attribute_by_type(trace)
     assert [r.task_type for r in rows] == ["b", "a"]  # by total time
     a = rows[1]
@@ -38,7 +38,7 @@ def test_aggregation_per_type():
 
 def test_non_critical_type_has_zero_crit_accel():
     trace = Trace()
-    trace.record_task(span(0, "x", 10.0, critical=False, accel=True))
+    record(trace, 0, "x", 10.0, critical=False, accel=True)
     row = attribute_by_type(trace)[0]
     assert row.critical_fraction == 0.0
     assert row.critical_accelerated_fraction == 0.0
@@ -46,8 +46,8 @@ def test_non_critical_type_has_zero_crit_accel():
 
 def test_render_contains_all_types():
     trace = Trace()
-    trace.record_task(span(0, "alpha", 10.0))
-    trace.record_task(span(1, "beta", 20.0))
+    record(trace, 0, "alpha", 10.0)
+    record(trace, 1, "beta", 20.0)
     out = render_attribution(trace)
     assert "alpha" in out and "beta" in out
 

@@ -10,7 +10,7 @@ from repro.core.policies import run_policy
 from repro.runtime.program import Program
 from repro.runtime.task import TaskType
 from repro.sim.config import default_machine
-from repro.sim.trace import TaskSpan, Trace
+from repro.sim.trace import Trace
 
 T = TaskType("plain", criticality=0)
 C = TaskType("crit", criticality=1)
@@ -84,11 +84,7 @@ class TestTimeline:
 
     def test_utilization_percentages_bounded(self):
         trace = Trace()
-        trace.record_task(
-            TaskSpan(0, "t", 0, 0.0, 500.0, critical=False, accelerated_at_start=False)
-        )
-        trace.record_task(
-            TaskSpan(1, "t", 0, 500.0, 1000.0, critical=False, accelerated_at_start=False)
-        )
+        trace.record_task(0, "t", 0, 0.0, 500.0, critical=False, accelerated_at_start=False)
+        trace.record_task(1, "t", 0, 500.0, 1000.0, critical=False, accelerated_at_start=False)
         out = render_timeline(trace, width=10)
         assert "100.0%" in out

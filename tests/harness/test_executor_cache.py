@@ -47,35 +47,32 @@ class TestDeterminism:
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
-        runner = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        runner.run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
         cache = runner.executor.cache
         assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
         # A fresh runner (cold memo) must resolve from disk, not simulate.
-        runner2 = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        runner2.run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner2:
+            runner2.run_one("swaptions", "fifo", 8)
         cache2 = runner2.executor.cache
         assert (cache2.hits, cache2.misses) == (1, 0)
         assert runner2.executor.stats.simulated == 0
 
     def test_cached_result_round_trips(self, tmp_path):
-        runner = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        first = runner.run_one("swaptions", "cata", 8)
-        second = GridRunner(**SMALL, cache_dir=str(tmp_path)).run_one(
-            "swaptions", "cata", 8
-        )
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            first = runner.run_one("swaptions", "cata", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            second = runner.run_one("swaptions", "cata", 8)
         assert result_to_dict(first) == result_to_dict(second)
         assert second.edp == pytest.approx(first.edp)
 
     def test_traced_results_round_trip_spans(self, tmp_path):
-        runner = GridRunner(
-            scale=0.1, seeds=(1,), trace_enabled=True, cache_dir=str(tmp_path)
-        )
-        first = runner.run_one("swaptions", "cata", 8)
+        kw = dict(scale=0.1, seeds=(1,), trace_enabled=True, cache_dir=str(tmp_path))
+        with GridRunner(**kw) as runner:
+            first = runner.run_one("swaptions", "cata", 8)
         assert first.trace.task_spans  # tracing actually recorded spans
-        second = GridRunner(
-            scale=0.1, seeds=(1,), trace_enabled=True, cache_dir=str(tmp_path)
-        ).run_one("swaptions", "cata", 8)
+        with GridRunner(**kw) as runner:
+            second = runner.run_one("swaptions", "cata", 8)
         assert second.trace.task_spans == first.trace.task_spans
         assert second.trace.reconfigs == first.trace.reconfigs
 
@@ -87,29 +84,32 @@ class TestResultCache:
         return files[0]
 
     def test_truncated_entry_recomputes_instead_of_crashing(self, tmp_path):
-        GridRunner(**SMALL, cache_dir=str(tmp_path)).run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
         path = self._single_cache_file(tmp_path)
-        blob = open(path).read()
+        with open(path) as fh:
+            blob = fh.read()
         with open(path, "w") as fh:
             fh.write(blob[: len(blob) // 2])
-        runner = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        result = runner.run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            result = runner.run_one("swaptions", "fifo", 8)
         assert result.tasks_executed > 0
         cache = runner.executor.cache
         assert cache.corrupt_evictions == 1
         assert runner.executor.stats.simulated == 1
         # The recomputed entry replaced the corrupt one and now hits.
-        runner3 = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        runner3.run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner3:
+            runner3.run_one("swaptions", "fifo", 8)
         assert runner3.executor.cache.hits == 1
 
     def test_garbage_json_recomputes(self, tmp_path):
-        GridRunner(**SMALL, cache_dir=str(tmp_path)).run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
         path = self._single_cache_file(tmp_path)
         with open(path, "w") as fh:
             fh.write('{"policy": "fifo"}')  # valid JSON, wrong schema
-        runner = GridRunner(**SMALL, cache_dir=str(tmp_path))
-        runner.run_one("swaptions", "fifo", 8)
+        with GridRunner(**SMALL, cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
         assert runner.executor.cache.corrupt_evictions == 1
         assert runner.executor.stats.simulated == 1
 
@@ -187,11 +187,10 @@ class TestCacheKey:
         assert a.tasks_executed != b.tasks_executed
 
     def test_scales_never_alias_on_disk(self, tmp_path):
-        GridRunner(scale=0.08, seeds=(1,), cache_dir=str(tmp_path)).run_one(
-            "swaptions", "fifo", 8
-        )
-        runner = GridRunner(scale=0.16, seeds=(1,), cache_dir=str(tmp_path))
-        runner.run_one("swaptions", "fifo", 8)
+        with GridRunner(scale=0.08, seeds=(1,), cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
+        with GridRunner(scale=0.16, seeds=(1,), cache_dir=str(tmp_path)) as runner:
+            runner.run_one("swaptions", "fifo", 8)
         assert runner.executor.cache.hits == 0
         assert runner.executor.stats.simulated == 1
         assert len(runner.executor.cache) == 2
@@ -305,7 +304,8 @@ class TestWarmKeying:
 
         kw = dict(scale=0.05, seeds=(1, 2), cache_dir=str(tmp_path),
                   machine=default_machine().with_cores(16))
-        GridRunner(**kw).run_grid(**self.GRID)
+        with GridRunner(**kw) as runner:
+            runner.run_grid(**self.GRID)
         calls = {"cell_key": 0, "machine_to_dict": 0}
         for module, name in ((executor_mod, "cell_key"),
                              (cache_mod, "machine_to_dict")):
@@ -314,17 +314,17 @@ class TestWarmKeying:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        runner = GridRunner(**kw)
-        grid = runner.run_grid(**self.GRID)
-        unique = 3 * 2 * 2  # policies (fifo added) x budgets x seeds
-        assert grid.stats.cells == unique
-        assert grid.stats.simulated == 0
-        assert calls["cell_key"] <= unique
-        assert calls["machine_to_dict"] <= 1
-        # A second pass resolves from the memo alone: no key at all.
-        calls["cell_key"] = 0
-        runner.run_grid(**self.GRID)
-        assert calls["cell_key"] == 0
+        with GridRunner(**kw) as runner:
+            grid = runner.run_grid(**self.GRID)
+            unique = 3 * 2 * 2  # policies (fifo added) x budgets x seeds
+            assert grid.stats.cells == unique
+            assert grid.stats.simulated == 0
+            assert calls["cell_key"] <= unique
+            assert calls["machine_to_dict"] <= 1
+            # A second pass resolves from the memo alone: no key at all.
+            calls["cell_key"] = 0
+            runner.run_grid(**self.GRID)
+            assert calls["cell_key"] == 0
 
 
 class TestRunnerClose:

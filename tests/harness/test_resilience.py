@@ -141,7 +141,8 @@ class TestCacheCrashPaths:
         cache = ResultCache(str(tmp_path))
         _, key, _ = self._fill(cache)
         path = cache._path(key)
-        blob = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            blob = fh.read()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(blob[: len(blob) // 2])
         assert cache.get(key) is None
@@ -218,11 +219,11 @@ class TestJournal:
             j.record("k1", "cell one", 1.0)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "k2", "label": "torn')  # no newline, cut JSON
-        reloaded = SweepJournal(path)
-        assert reloaded.completed == {"k1"}
-        assert reloaded.skipped_lines == 1
-        # And recording continues cleanly after the torn line.
-        reloaded.record("k3", "cell three", 2.0)
+        with SweepJournal(path) as reloaded:
+            assert reloaded.completed == {"k1"}
+            assert reloaded.skipped_lines == 1
+            # And recording continues cleanly after the torn line.
+            reloaded.record("k3", "cell three", 2.0)
         final = SweepJournal(path)
         assert final.completed == {"k1", "k3"}
 
@@ -446,6 +447,7 @@ class TestCheckpointResume:
             cell_fn=counting_cell,
         )
         results, batch = resumed.run_cells(specs)
+        resumed.journal.close()
         assert batch.resumed == 1            # journaled by the "dead" run
         assert batch.cache_hits == 1
         assert batch.simulated == 2          # only the incomplete cells
@@ -510,6 +512,7 @@ class TestCheckpointResume:
             cell_fn=counting_cell,
         )
         results, batch = resumed.run_cells(specs)
+        resumed.journal.close()
         assert batch.resumed == 1
         assert batch.simulated == 2
         assert [s.policy for s in calls] == ["cats_sa", "cata"]

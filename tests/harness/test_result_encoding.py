@@ -287,14 +287,15 @@ class TestMalformedRecords:
     @pytest.mark.parametrize("how", sorted(MALFORMED))
     def test_entry_is_quarantined_and_resimulated(self, how, tmp_path):
         kw = dict(scale=0.05, seeds=[1], trace_enabled=True, cache_dir=str(tmp_path))
-        first = GridRunner(**kw).run_one("swaptions", "cata", 8, 1)
+        with GridRunner(**kw) as runner:
+            first = runner.run_one("swaptions", "cata", 8, 1)
         [entry] = tmp_path.glob("??/*.json")
         data = json.loads(entry.read_text())
         MALFORMED[how](data["trace"])
         entry.write_text(json.dumps(data, sort_keys=True))
 
-        runner = GridRunner(**kw)
-        again = runner.run_one("swaptions", "cata", 8, 1)
+        with GridRunner(**kw) as runner:
+            again = runner.run_one("swaptions", "cata", 8, 1)
         assert runner.executor.cache.corrupt_evictions == 1
         assert runner.executor.stats.simulated == 1
         assert (tmp_path / QUARANTINE_DIR / entry.name).exists()

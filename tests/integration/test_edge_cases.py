@@ -8,7 +8,9 @@ from repro.runtime.task import TaskType
 from repro.sim.config import default_machine
 from repro.sim.dvfs import DVFSController
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace
+from repro.sim.serialize import result_to_dict
+from repro.sim.trace import RECORD_TYPES, Trace
+from repro.workloads import build_program
 
 T = TaskType("t", criticality=0)
 C = TaskType("c", criticality=2)
@@ -76,13 +78,24 @@ class TestTraceDisabled:
         assert r.trace.reconfigs == []
 
     def test_disabled_equals_enabled_results(self):
-        machine = default_machine().with_cores(4)
-        a = run_policy(prog(8), "cata", machine=machine, fast_cores=2,
-                       trace_enabled=True)
-        b = run_policy(prog(8), "cata", machine=machine, fast_cores=2,
-                       trace_enabled=False)
-        assert a.exec_time_ns == b.exec_time_ns
-        assert a.energy_j == pytest.approx(b.energy_j)
+        """An untraced run is the traced run minus its records, exactly:
+        every counter and energy float matches bit for bit."""
+        for workload in ("bodytrack", "dedup"):
+            program = build_program(workload, scale=0.05, seed=2)
+            for policy in POLICIES + EXTRA_POLICIES:
+                for faults in ("off", "chaos:intensity=1.0"):
+                    traced, untraced = (
+                        result_to_dict(run_policy(
+                            program, policy, fast_cores=8, seed=2,
+                            trace_enabled=enabled, faults=faults,
+                        ))
+                        for enabled in (True, False)
+                    )
+                    for name in RECORD_TYPES:
+                        assert untraced["trace"][name] == []
+                        traced["trace"][name] = []
+                    traced["trace"]["enabled"] = False
+                    assert untraced == traced, f"{workload}/{policy} faults={faults}"
 
 
 class TestWorkerLifecycleErrors:

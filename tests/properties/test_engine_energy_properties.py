@@ -69,7 +69,7 @@ def test_energy_integration_matches_manual_sum(segments):
     t = 0.0
     for dur, level, cstate, activity, busy in segments:
         state = CoreState(level=level, cstate=cstate, activity=activity, busy=busy)
-        acct.set_state(0, state)
+        acct.transition(0, acct.resolve(state))
         t += dur
         sim.run(until=t)
         expected += model.core_w(state) * dur / SEC
@@ -87,7 +87,7 @@ def test_energy_is_nonnegative_and_bounded_by_peak(segments):
     t = 0.0
     peak = model.core_w(CoreState(FAST_LEVEL, "C0", 1.0, True))
     for dur, level, cstate, activity, busy in segments:
-        acct.set_state(0, CoreState(level, cstate, activity, busy))
+        acct.transition(0, acct.resolve(CoreState(level, cstate, activity, busy)))
         t += dur
         sim.run(until=t)
     acct.finalize()

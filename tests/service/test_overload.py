@@ -269,12 +269,12 @@ class TestIdempotentResubmit:
         assert a["job"] != b["job"]
         svc.stop()
 
-    def test_idempotency_survives_daemon_restart(self, tmp_path):
+    def test_idempotency_survives_daemon_restart(self, tmp_path, abandon):
         state = str(tmp_path / "state")
         life1 = SweepService(state, jobs=1)
         body = dict(_grid(), idempotency_key="k-restart")
         first = life1.submit(body)
-        del life1  # SIGKILL never says goodbye
+        abandon(life1)  # SIGKILL never says goodbye
         life2 = SweepService(state, jobs=1)
         retry = life2.submit(dict(body))
         assert retry["job"] == first["job"]

@@ -255,7 +255,7 @@ class TestWorkerProcesses:
 
 class TestRestartResume:
     def test_killed_daemon_resumes_jobs_and_skips_finished_cells(
-        self, tmp_path, cell_dir
+        self, tmp_path, cell_dir, abandon
     ):
         state = str(tmp_path / "state")
         # Life 1: accept a 3-cell job, finish exactly one cell, then die
@@ -269,7 +269,7 @@ class TestRestartResume:
         # No stop(): a SIGKILL never says goodbye.  Its worker process
         # dies with the daemon, as the parent watch makes it.
         life1.executor.close(kill=True)
-        del life1
+        abandon(life1)
 
         life2 = SweepService(state, jobs=1)
         assert life2.recovered_jobs == 1
@@ -342,11 +342,14 @@ class TestRestartResume:
     def test_jobs_log_written_before_acknowledge(self, tmp_path):
         state = str(tmp_path / "state")
         svc = SweepService(state, jobs=1)  # worker never started
-        receipt = svc.submit(_grid())
-        with open(os.path.join(state, "jobs.jsonl"), encoding="utf-8") as fh:
-            entries = [json.loads(line) for line in fh if line.strip()]
-        assert [e["job"] for e in entries] == [receipt["job"]]
-        assert len(entries[0]["cells"]) == 2
+        try:
+            receipt = svc.submit(_grid())
+            with open(os.path.join(state, "jobs.jsonl"), encoding="utf-8") as fh:
+                entries = [json.loads(line) for line in fh if line.strip()]
+            assert [e["job"] for e in entries] == [receipt["job"]]
+            assert len(entries[0]["cells"]) == 2
+        finally:
+            svc.stop()
 
 
 class TestTracedCells:

@@ -179,9 +179,10 @@ def test_buffer_growth_beyond_initial_capacity():
 
 # ----------------------------------------------------------- energy replay
 def _churn_energy(acct: EnergyAccountant, sim: Simulator, states, cores=8, n=3000):
+    power = [acct.resolve(s) for s in states]
     for i in range(n):
         sim._now += 37.5
-        acct.set_state(i % cores, states[(i * 7) % len(states)])
+        acct.transition(i % cores, power[(i * 7) % len(power)])
     acct.finalize()
     return {
         "total": acct.total_energy_j,

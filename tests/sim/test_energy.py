@@ -23,8 +23,8 @@ def state(level=SLOW_LEVEL, cstate="C0", activity=0.0, busy=False):
 def test_constant_state_integrates_exactly(setup):
     sim, model, acct = setup
     s = state(FAST_LEVEL, "C0", 1.0, True)
-    acct.set_state(0, s)
-    acct.set_state(1, s)
+    acct.transition(0, acct.resolve(s))
+    acct.transition(1, acct.resolve(s))
     sim.run(until=2 * SEC)
     acct.finalize()
     expected = model.core_w(s) * 2.0
@@ -36,9 +36,9 @@ def test_piecewise_state_changes(setup):
     sim, model, acct = setup
     s_fast = state(FAST_LEVEL, "C0", 1.0, True)
     s_slow = state(SLOW_LEVEL, "C1", 0.0, False)
-    acct.set_state(0, s_fast)
+    acct.transition(0, acct.resolve(s_fast))
     sim.run(until=1 * SEC)
-    acct.set_state(0, s_slow)
+    acct.transition(0, acct.resolve(s_slow))
     sim.run(until=3 * SEC)
     acct.finalize()
     expected = model.core_w(s_fast) * 1.0 + model.core_w(s_slow) * 2.0
@@ -47,8 +47,8 @@ def test_piecewise_state_changes(setup):
 
 def test_same_instant_state_change_accrues_nothing(setup):
     sim, model, acct = setup
-    acct.set_state(0, state(activity=0.9, busy=True))
-    acct.set_state(0, state(activity=0.1, busy=True))
+    acct.transition(0, acct.resolve(state(activity=0.9, busy=True)))
+    acct.transition(0, acct.resolve(state(activity=0.1, busy=True)))
     sim.run(until=1 * SEC)
     acct.finalize()
     expected = model.core_w(state(activity=0.1, busy=True)) * 1.0
@@ -64,7 +64,7 @@ def test_uncore_energy_proportional_to_elapsed(setup):
 
 def test_total_is_cores_plus_uncore(setup):
     sim, model, acct = setup
-    acct.set_state(0, state(busy=True, activity=0.5))
+    acct.transition(0, acct.resolve(state(busy=True, activity=0.5)))
     sim.run(until=1 * SEC)
     acct.finalize()
     assert acct.total_energy_j == pytest.approx(
@@ -74,7 +74,7 @@ def test_total_is_cores_plus_uncore(setup):
 
 def test_edp_is_energy_times_delay(setup):
     sim, model, acct = setup
-    acct.set_state(0, state(busy=True, activity=0.5))
+    acct.transition(0, acct.resolve(state(busy=True, activity=0.5)))
     sim.run(until=2 * SEC)
     acct.finalize()
     assert acct.edp == pytest.approx(acct.total_energy_j * 2.0)

@@ -43,7 +43,7 @@ def test_breakdown_sums_to_core_energy(setup):
     ]
     t = 0.0
     for state, dur in timeline:
-        acct.set_state(0, state)
+        acct.transition(0, acct.resolve(state))
         t += dur
         sim.run(until=t)
     acct.finalize()
@@ -60,7 +60,7 @@ def test_breakdown_sums_to_core_energy(setup):
 
 def test_time_breakdown(setup):
     sim, _model, acct = setup
-    acct.set_state(0, CoreState(SLOW_LEVEL, "C0", 0.9, True))
+    acct.transition(0, acct.resolve(CoreState(SLOW_LEVEL, "C0", 0.9, True)))
     sim.run(until=3 * SEC)
     acct.finalize()
     td = acct.time_breakdown_ns()

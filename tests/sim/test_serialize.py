@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -18,15 +18,7 @@ from repro.sim.serialize import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.sim.trace import (
-    RECORD_TYPES,
-    CStateRecord,
-    FreqChangeRecord,
-    LockWaitRecord,
-    ReconfigRecord,
-    TaskSpan,
-    Trace,
-)
+from repro.sim.trace import RECORD_TYPES, TaskSpan, Trace
 from repro.workloads import build_program
 
 
@@ -157,21 +149,19 @@ def _full_trace():
     """A trace with two records in every list, one span with a tenant."""
     trace = Trace(enabled=True)
     for i in range(2):
-        trace.record_task(_span(tenant=None if i == 0 else 5))
-        trace.record_reconfig(ReconfigRecord(
+        trace.record_task(**asdict(_span(tenant=None if i == 0 else 5)))
+        trace.record_reconfig(
             initiator_core=i, start_ns=1.0, end_ns=4.5, accelerated_core=i,
             decelerated_core=None, mechanism="software", lock_wait_ns=0.25 * i,
-        ))
-        trace.record_lock_wait(LockWaitRecord(
+        )
+        trace.record_lock_wait(
             lock_name="dvfs", core_id=i, request_ns=1.0, grant_ns=2.0,
             release_ns=3.5,
-        ))
-        trace.record_cstate(CStateRecord(
-            core_id=i, time_ns=7.0, old_state="C0", new_state="C1",
-        ))
-        trace.record_freq_change(FreqChangeRecord(
+        )
+        trace.record_cstate(core_id=i, time_ns=7.0, old_state="C0", new_state="C1")
+        trace.record_freq_change(
             core_id=i, time_ns=9.0, old_level="slow", new_level="fast",
-        ))
+        )
     return trace
 
 
@@ -211,10 +201,10 @@ class TestDeferredRecords:
         eager = _full_trace()
         again = trace_from_dict(_parsed(eager))
         extra = _span(tenant=9)
-        again.record_task(extra)
-        eager.record_task(extra)
+        again.record_task(**asdict(extra))
+        eager.record_task(**asdict(extra))
         assert again == eager
-        assert again.task_spans[-1] is extra
+        assert again.task_spans[-1] == extra
 
     def test_half_built_instance_raises_attribute_error(self):
         bare = Trace.__new__(Trace)  # what unpickling starts from

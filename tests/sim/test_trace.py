@@ -1,15 +1,10 @@
 """Tests for trace records and counters."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.sim.trace import (
-    CStateRecord,
-    FreqChangeRecord,
-    LockWaitRecord,
-    ReconfigRecord,
-    TaskSpan,
-    Trace,
-)
+from repro.sim.trace import LockWaitRecord, ReconfigRecord, TaskSpan, Trace
 
 
 def span(dur=100.0, start=0.0):
@@ -45,10 +40,10 @@ class TestRecords:
 class TestEnabledTrace:
     def test_records_stored_and_counted(self):
         t = Trace(enabled=True)
-        t.record_task(span())
-        t.record_reconfig(reconfig())
-        t.record_cstate(CStateRecord(0, 1.0, "C0", "C1"))
-        t.record_freq_change(FreqChangeRecord(0, 1.0, "slow", "fast"))
+        t.record_task(**asdict(span()))
+        t.record_reconfig(**asdict(reconfig()))
+        t.record_cstate(0, 1.0, "C0", "C1")
+        t.record_freq_change(0, 1.0, "slow", "fast")
         assert len(t.task_spans) == 1 and t.tasks_executed == 1
         assert len(t.reconfigs) == 1 and t.reconfig_count == 1
         assert len(t.cstate_changes) == 1
@@ -56,8 +51,8 @@ class TestEnabledTrace:
 
     def test_avg_reconfig_latency(self):
         t = Trace()
-        t.record_reconfig(reconfig(latency=10.0))
-        t.record_reconfig(reconfig(latency=30.0))
+        t.record_reconfig(**asdict(reconfig(latency=10.0)))
+        t.record_reconfig(**asdict(reconfig(latency=30.0)))
         assert t.avg_reconfig_latency_ns == pytest.approx(20.0)
 
     def test_avg_latency_zero_when_empty(self):
@@ -66,15 +61,13 @@ class TestEnabledTrace:
     def test_max_lock_wait_tracks_maximum(self):
         t = Trace()
         for wait in (5.0, 50.0, 20.0):
-            t.record_lock_wait(
-                LockWaitRecord("l", 0, 0.0, wait, wait + 1.0)
-            )
+            t.record_lock_wait("l", 0, 0.0, wait, wait + 1.0)
         assert t.max_lock_wait_ns == 50.0
         assert t.total_lock_wait_ns == 75.0
 
     def test_overhead_fraction(self):
         t = Trace()
-        t.record_reconfig(reconfig(latency=10.0))
+        t.record_reconfig(**asdict(reconfig(latency=10.0)))
         assert t.reconfig_overhead_fraction(1000.0) == pytest.approx(0.01)
         assert t.reconfig_overhead_fraction(0.0) == 0.0
 
@@ -82,10 +75,10 @@ class TestEnabledTrace:
 class TestDisabledTrace:
     def test_counters_without_storage(self):
         t = Trace(enabled=False)
-        t.record_task(span())
-        t.record_reconfig(reconfig())
-        t.record_freq_change(FreqChangeRecord(0, 1.0, "slow", "fast"))
-        t.record_cstate(CStateRecord(0, 1.0, "C0", "C1"))
+        t.record_task(**asdict(span()))
+        t.record_reconfig(**asdict(reconfig()))
+        t.record_freq_change(0, 1.0, "slow", "fast")
+        t.record_cstate(0, 1.0, "C0", "C1")
         assert t.tasks_executed == 1
         assert t.reconfig_count == 1
         assert t.freq_transition_count == 1
@@ -96,7 +89,7 @@ class TestDisabledTrace:
 
     def test_lock_stats_still_aggregate(self):
         t = Trace(enabled=False)
-        t.record_lock_wait(LockWaitRecord("l", 0, 0.0, 30.0, 40.0))
+        t.record_lock_wait("l", 0, 0.0, 30.0, 40.0)
         assert t.total_lock_wait_ns == 30.0
         assert t.max_lock_wait_ns == 30.0
         assert t.lock_waits == []
