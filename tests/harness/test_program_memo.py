@@ -14,7 +14,12 @@ import pytest
 
 from repro.core.policies import EXTRA_POLICIES, POLICIES, run_policy
 from repro.harness import executor
-from repro.harness.executor import PROGRAM_MEMO_SIZE, CellSpec, simulate_cell
+from repro.harness.executor import (
+    PROGRAM_MEMO_SIZE,
+    CellSpec,
+    SweepExecutor,
+    simulate_cell,
+)
 from repro.sim.serialize import result_to_dict
 from repro.workloads import build_program
 
@@ -80,6 +85,15 @@ def test_memo_is_bounded(builds):
     # Seed 0 was the least recently used, so it was evicted.
     simulate_cell(CellSpec("swaptions", "fifo", 8, 0, SCALE))
     assert len(builds) == PROGRAM_MEMO_SIZE + 2
+
+
+def test_each_executor_starts_the_memo_empty(builds):
+    spec = CellSpec("dedup", "fifo", 8, SEED, SCALE)
+    for _ in range(2):
+        executor_ = SweepExecutor()
+        executor_.run_cells([spec, CellSpec("dedup", "cata", 8, SEED, SCALE)])
+        executor_.close()
+    assert builds == ["dedup", "dedup"]
 
 
 def test_memoized_cell_equals_a_fresh_run(builds):
