@@ -88,11 +88,11 @@ def test_memo_is_bounded(builds):
 
 
 def test_each_executor_starts_the_memo_empty(builds):
-    spec = CellSpec("dedup", "fifo", 8, SEED, SCALE)
+    specs = [CellSpec("dedup", policy, 8, SEED, SCALE) for policy in ("fifo", "cata")]
     for _ in range(2):
-        executor_ = SweepExecutor()
-        executor_.run_cells([spec, CellSpec("dedup", "cata", 8, SEED, SCALE)])
-        executor_.close()
+        sweep = SweepExecutor()
+        sweep.run_cells(specs)
+        sweep.close()
     assert builds == ["dedup", "dedup"]
 
 
